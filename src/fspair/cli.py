@@ -246,10 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_complex_values(argv) -> list:
+    """Join '--z'/'--w' with a following a+bi value as '--z=a+bi', so that a
+    value starting with '-' is not taken for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--z", "--w") and _COMPLEX_RE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_complex_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

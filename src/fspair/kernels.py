@@ -9,7 +9,6 @@ Fourier transform is a normalized central B-spline.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,21 +120,25 @@ def eval_A(k: int, x: float) -> float:
     return math.exp(-2.0 * math.pi * ax) * math.pi ** (1 - k) * float(r(2.0 * math.pi * ax))
 
 
-def bspline_value(n: int, t: float) -> float:
+def bspline_value(n: int, t):
     """Central B-spline M_n(t): the n-fold convolution of 1_{[-1/2,1/2]}.
 
     Evaluated by the Cox-de Boor style recurrence
-    M_n(t) = ((n/2 + t) M_{n-1}(t + 1/2) + (n/2 - t) M_{n-1}(t - 1/2)) / (n - 1).
+    M_n(t) = ((n/2 + t) M_{n-1}(t + 1/2) + (n/2 - t) M_{n-1}(t - 1/2)) / (n - 1),
+    bottom-up: level m holds M_m(t + s) at the n - m + 1 shifts s the levels
+    above need, so the cost is O(n^2) per point.  t may be an array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs(t) >= n / 2.0 and not (n == 1 and abs(t) == 0.5):
-        return 0.0
-    if n == 1:
-        # midpoint convention at the jump keeps the recurrence exact at knots
-        return 0.5 if abs(t) == 0.5 else 1.0
-    return ((n / 2.0 + t) * bspline_value(n - 1, t + 0.5)
-            + (n / 2.0 - t) * bspline_value(n - 1, t - 0.5)) / (n - 1)
+    t = np.asarray(t, dtype=float)[..., None]
+    u = np.abs(t + (np.arange(n) - (n - 1) / 2.0))
+    # midpoint convention at the jump keeps the recurrence exact at knots
+    vals = np.where(u < 0.5, 1.0, np.where(u == 0.5, 0.5, 0.0))
+    for m in range(2, n + 1):
+        u = t + (np.arange(n - m + 1) - (n - m) / 2.0)
+        vals = ((m / 2.0 + u) * vals[..., 1:] + (m / 2.0 - u) * vals[..., :-1]) / (m - 1)
+    out = vals[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)
@@ -170,45 +173,48 @@ def eval_Ghat(k: int, w: complex, z: complex, t: float) -> complex:
                   * (1.0 + t * t) ** k)
 
 
-def _G_nonneg(k: int, w: complex, z: complex, lam: float) -> complex:
-    """Closed form of G_k(w, z, lam) for lam >= 0."""
+def _G_nonneg(k: int, w: complex, z: complex, lam: np.ndarray) -> np.ndarray:
+    """Closed form of G_k(w, z, lam) at an array of lam >= 0."""
     wb = w.conjugate()
+    t3 = np.exp(2j * math.pi * lam * z) / (z - wb)
     if k == 0:
-        return cmath.exp(2j * math.pi * z * lam) / (z - wb)
+        return t3
     b = b_coeffs(k)
     two_pi = 2.0 * math.pi
-    decay = math.exp(-two_pi * lam)
 
-    def inner(zz: complex) -> complex:
-        total = 0.0 + 0.0j
+    def inner(zz: complex) -> np.ndarray:
+        # sum_j j! b_j / (2 pi (1 + i zz))^{j+1} * (partial exponential sum of
+        # 2 pi lam (1 + i zz) up to order j)
+        step = two_pi * lam * (1.0 + 1j * zz)
+        term = np.ones_like(step)
+        partial = term
+        total = 0.0
         for j in range(k):
-            pref = math.factorial(j) * b[j] / (two_pi ** (j + 1) * (1.0 + 1j * zz) ** (j + 1))
-            s = 0.0 + 0.0j
-            term = 1.0 + 0.0j
-            for l in range(j + 1):
-                if l > 0:
-                    term *= two_pi * lam * (1.0 + 1j * zz) / l
-                s += term
-            total += pref * s
+            if j > 0:
+                term = term * step / j
+                partial = partial + term
+            total = total + (math.factorial(j) * b[j]
+                             / (two_pi ** (j + 1) * (1.0 + 1j * zz) ** (j + 1))) * partial
         return total
 
-    t1 = decay * inner(wb)
-    t2 = decay * inner(z)
-    t3 = cmath.exp(2j * math.pi * lam * z) / (math.pi ** k * (1.0 + z * z) ** k)
-    return (t1 - t2 + t3) / (z - wb)
+    decay = np.exp(-two_pi * lam) / (z - wb)
+    return decay * (inner(wb) - inner(z)) + t3 / (math.pi ** k * (1.0 + z * z) ** k)
 
 
-def eval_G(k: int, w: complex, z: complex, lam: float) -> complex:
-    """The kernel G_k(w, z, lam); for lam < 0 via the antisymmetry
-    G_k(w, z, -lam) = -conj(G_k(z, w, lam))."""
+def eval_G(k: int, w: complex, z: complex, lam):
+    """The kernel G_k(w, z, lam) at a scalar or an array of lam; for lam < 0
+    via the antisymmetry G_k(w, z, -lam) = -conj(G_k(z, w, lam))."""
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_upper(w, z)
     if k >= 1 and (abs(z - 1j) < EPS_SING or abs(w - 1j) < EPS_SING):
         raise ValueError("arguments too close to i for the k >= 1 closed form")
-    if lam >= 0:
-        return _G_nonneg(k, w, z, lam)
-    return -_G_nonneg(k, z, w, -lam).conjugate()
+    lam = np.asarray(lam, dtype=float)
+    neg = lam < 0
+    out = np.empty(lam.shape, dtype=complex)
+    out[~neg] = _G_nonneg(k, w, z, lam[~neg])
+    out[neg] = -_G_nonneg(k, z, w, -lam[neg]).conjugate()
+    return complex(out) if out.ndim == 0 else out
 
 
 def pf_identity_residual(k: int, z: complex) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -101,27 +101,32 @@ class TemperedMeasure:
 
     @property
     def truncation_radius(self) -> float:
-        return float(np.max(np.abs(self.atom_locations))) if len(self.atom_locations) else 0.0
+        loc = self.atom_locations  # sorted
+        return float(max(-loc[0], loc[-1])) if len(loc) else 0.0
+
+    def edge_mass_rate(self) -> float:
+        """Atom weight per unit length on T/2 <= |t| <= T, T the truncation
+        radius: the rate at which the discarded tail is assumed to go on."""
+        T = self.truncation_radius
+        outer = np.abs(self.atom_locations) >= T / 2.0
+        return float(np.sum(np.abs(self.atom_weights[outer]))) / max(T, 1.0)
 
     def is_real(self) -> bool:
         return bool(np.all(self.atom_weights.imag == 0.0))
 
 
 def _merge_atoms(loc, w):
-    """Sort, merge atoms closer than ATOM_MERGE_EPS, drop zero weights."""
+    """Sort, merge runs of atoms whose consecutive gaps are below
+    ATOM_MERGE_EPS into one atom at the run's first location, drop zero
+    weights."""
+    if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(w))):
+        raise ValueError("locations and weights must be finite")
     if len(loc) == 0:
         return loc.copy(), w.copy()
     order = np.argsort(loc, kind="stable")
     loc, w = loc[order], w[order]
-    out_loc, out_w = [loc[0]], [w[0]]
-    for x, ww in zip(loc[1:], w[1:]):
-        if x - out_loc[-1] < ATOM_MERGE_EPS:
-            out_w[-1] += ww
-        else:
-            out_loc.append(x)
-            out_w.append(ww)
-    loc = np.array(out_loc)
-    w = np.array(out_w, dtype=complex)
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(loc) >= ATOM_MERGE_EPS]))
+    loc, w = loc[starts], np.add.reduceat(w, starts)
     keep = w != 0.0
     return loc[keep], w[keep]
 
@@ -252,73 +257,96 @@ _A_KEYS = {"growth_constant", "support"}
 _DENSITY_KEYS = {"kind", "scale", "grid"}
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
+def _check_keys(obj, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise PairSchemaError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise PairSchemaError(f"unknown field(s) in {where}: {sorted(unknown)}")
 
 
+def _number(obj: dict, key: str, where: str, default=None) -> float:
+    """obj[key] (or the default when given and the key is absent) as a
+    finite float."""
+    if key not in obj and default is not None:
+        return default
+    try:
+        value = float(obj[key])
+    except KeyError as exc:
+        raise PairSchemaError(f"missing field {key!r} in {where}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PairSchemaError(f"{where}.{key} must be a number") from exc
+    if not math.isfinite(value):
+        raise PairSchemaError(f"{where}.{key} must be finite, got {value}")
+    return value
+
+
+def _entries(obj: dict, key: str, where: str, fields: set) -> list:
+    """The list obj[key] (empty when absent), each entry checked as an object."""
+    entries = obj.get(key, [])
+    if not isinstance(entries, list):
+        raise PairSchemaError(f"{where}.{key} must be a list")
+    for entry in entries:
+        _check_keys(entry, fields, f"{where}.{key} entry")
+    return entries
+
+
+def _ascending(points: list, where: str) -> None:
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise PairSchemaError(f"{where} must be sorted strictly ascending")
+
+
 def load_pair(path) -> FSPair:
-    """Read and validate a pair file (JSON schema in the package docs)."""
+    """Read and validate a pair file (JSON schema in the package docs).
+
+    Every violation, including a missing, non-numeric or non-finite number,
+    raises PairSchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PairSchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise PairSchemaError("top-level value must be an object")
     _check_keys(raw, _PAIR_KEYS, "pair")
     try:
         name = str(raw["name"])
         antipodal = bool(raw["antipodal"])
-        strip = float(raw["strip_constant"])
         mu_raw = raw["mu"]
         a_raw = raw["a"]
     except KeyError as exc:
         raise PairSchemaError(f"missing field {exc.args[0]!r}") from exc
+    strip = _number(raw, "strip_constant", "pair")
     _check_keys(mu_raw, _MU_KEYS, "mu")
     _check_keys(a_raw, _A_KEYS, "a")
 
-    atoms = mu_raw.get("atoms", [])
-    loc, w = [], []
-    last_t = -math.inf
-    for entry in atoms:
-        _check_keys(entry, {"t", "re", "im"}, "mu.atoms entry")
-        t = float(entry["t"])
-        if t <= last_t:
-            raise PairSchemaError("mu.atoms must be sorted strictly ascending")
-        last_t = t
-        loc.append(t)
-        w.append(complex(float(entry["re"]), float(entry["im"])))
+    atoms = _entries(mu_raw, "atoms", "mu", {"t", "re", "im"})
+    loc = [_number(e, "t", "mu.atoms entry") for e in atoms]
+    _ascending(loc, "mu.atoms")
+    w = [complex(_number(e, "re", "mu.atoms entry"), _number(e, "im", "mu.atoms entry"))
+         for e in atoms]
     density = None
     if mu_raw.get("density") is not None:
         d = mu_raw["density"]
         _check_keys(d, _DENSITY_KEYS, "mu.density")
         kind = d.get("kind")
-        scale = float(d.get("scale", 1.0))
+        scale = _number(d, "scale", "mu.density", 1.0)
         if kind == "grid":
-            grid = d.get("grid", [])
-            gt = [float(e["t"]) for e in grid]
-            gv = [float(e["value"]) for e in grid]
+            grid = _entries(d, "grid", "mu.density", {"t", "value"})
+            gt = [_number(e, "t", "mu.density.grid entry") for e in grid]
+            gv = [_number(e, "value", "mu.density.grid entry") for e in grid]
             density = Density("grid", scale, np.array(gt), np.array(gv))
         else:
             density = Density(str(kind), scale)
     mu = TemperedMeasure(np.array(loc), np.array(w, dtype=complex), density,
-                         int(mu_raw.get("degree_bound", 2)),
+                         int(_number(mu_raw, "degree_bound", "mu", 2.0)),
                          f"loaded from file, {len(loc)} atoms")
 
-    lam, av = [], []
-    last_l = -math.inf
-    for entry in a_raw.get("support", []):
-        _check_keys(entry, {"lambda", "re", "im"}, "a.support entry")
-        l = float(entry["lambda"])
-        if l <= last_l:
-            raise PairSchemaError("a.support must be sorted strictly ascending")
-        last_l = l
-        lam.append(l)
-        av.append(complex(float(entry["re"]), float(entry["im"])))
+    support = _entries(a_raw, "support", "a", {"lambda", "re", "im"})
+    lam = [_number(e, "lambda", "a.support entry") for e in support]
+    _ascending(lam, "a.support")
+    av = [complex(_number(e, "re", "a.support entry"), _number(e, "im", "a.support entry"))
+          for e in support]
     a = SummationFunction(np.array(lam), np.array(av, dtype=complex),
-                          float(a_raw.get("growth_constant", 0.1)))
+                          _number(a_raw, "growth_constant", "a", 0.1))
     return FSPair(name, mu, a, antipodal, strip)
 
 
@@ -367,8 +395,8 @@ def degree_probe(mu: TemperedMeasure, n: int, T_grid: Sequence[float]) -> Degree
         mask = np.abs(loc) <= T
         val = float(np.sum(aw[mask] / (1.0 + loc[mask] ** 2) ** (n / 2.0)))
         if mu.density is not None:
-            val += _fixed_quad(lambda t: np.abs(mu.density(t)) / (1.0 + t ** 2) ** (n / 2.0),
-                               -T, T, max(400, int(8 * T)))
+            val += _gauss_legendre(lambda t: np.abs(mu.density(t)) / (1.0 + t ** 2) ** (n / 2.0),
+                                   -T, T, 1.0, 1e-10).value
         partials.append(val)
     inc = np.diff(partials)
     verdict = "inconclusive"
@@ -385,73 +413,74 @@ def degree_probe(mu: TemperedMeasure, n: int, T_grid: Sequence[float]) -> Degree
 
 @dataclass(frozen=True)
 class IntegrationResult:
+    """A quadrature value with its error estimate (arrays over the batch for
+    a batched integrand) and whether every element reached the tolerance."""
+
     value: complex
     error_estimate: float
-    converged: bool = True
+    converged: bool
 
     def __complex__(self):
         return complex(self.value)
 
 
-def _fixed_quad(f, a, b, n):
-    """Composite Gauss-Legendre with n total nodes (rounded to panels of 8)."""
-    panels = max(1, n // 8)
-    x, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = f(pts)
-    return np.sum(np.asarray(vals).reshape(panels, 8) * w[None, :] * half[:, None])
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_GL_BLOCK = 1024          # nodes per call of the integrand, bounding its memory
+_GL_MAX_NODES = 1 << 18   # refinement stops before a level exceeds this
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=28):
-    """Recursive adaptive Simpson for complex-valued integrands.
+def _gl_level(f, a, b, panels):
+    """One composite Gauss-Legendre sum over `panels` equal panels,
+    evaluating f on at most _GL_BLOCK nodes at a time."""
+    h = 0.5 * (b - a) / panels
+    per_call = max(1, _GL_BLOCK // len(_GL_X))
+    total = 0.0
+    for start in range(0, panels, per_call):
+        mid = a + h * (2.0 * np.arange(start, min(start + per_call, panels)) + 1.0)
+        vals = np.asarray(f((mid[:, None] + h * _GL_X).ravel()))
+        total = total + vals @ np.tile(_GL_W, len(mid))
+    return h * total
 
-    Returns (value, error_estimate, converged)."""
 
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
+def _gauss_legendre(f, a, b, width, tol) -> IntegrationResult:
+    """integral_a^b f(x) dx by composite 12-point Gauss-Legendre.
 
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(fa, fm, fb, b - a)
-    hit_cap = [False]
-
-    def rec(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol or depth >= max_depth:
-            if depth >= max_depth and abs(err) > tol:
-                hit_cap[0] = True
-            return left + right + err, abs(err)
-        v1, e1 = rec(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
-        v2, e2 = rec(m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
-        return v1 + v2, e1 + e2
-
-    val, err = rec(a, fa, m, fm, b, fb, whole, tol, 0)
-    return val, err, not hit_cap[0]
+    Starts from panels no wider than `width` (the finest scale on which the
+    caller knows f varies) and doubles the panel count until two levels
+    agree within tol, or until a level would exceed _GL_MAX_NODES nodes.
+    f maps a 1-d node array to values whose last axis runs over the nodes;
+    leading axes are a batch, and value and error_estimate keep them, with
+    every batch element held to tol.  The last level is returned either way.
+    """
+    panels = max(1, min(math.ceil((b - a) / width), _GL_MAX_NODES // len(_GL_X)))
+    cur = _gl_level(f, a, b, panels)
+    while True:
+        prev, panels = cur, 2 * panels
+        cur = _gl_level(f, a, b, panels)
+        err = np.abs(cur - prev)
+        converged = bool(np.all(err <= tol))
+        if converged or 2 * panels * len(_GL_X) > _GL_MAX_NODES:
+            return IntegrationResult(cur, err, converged)
 
 
 def integrate_against(mu: TemperedMeasure, f: Callable, T: float,
                       tol: float = 1e-10) -> IntegrationResult:
-    """Pair mu against f on [-T, T]: exact atom sum plus adaptive quadrature
-    of density * f.  Non-convergence is reported, not raised."""
-    loc = mu.atom_locations
-    mask = np.abs(loc) <= T
-    total = 0.0 + 0.0j
-    for t, w in zip(loc[mask], mu.atom_weights[mask]):
-        total += w * complex(f(t))
-    err = 0.0
-    converged = True
-    if mu.density is not None:
-        dval, derr, ok = _adaptive_simpson(lambda t: complex(mu.density(t)) * complex(f(t)),
-                                           -T, T, tol)
-        total += dval
-        err += derr
-        converged = ok
-    return IntegrationResult(total, err, converged)
+    """Pair mu against f on [-T, T]: exact atom sum plus Gauss-Legendre
+    quadrature of density * f, started at unit panel width and refined to
+    tol.  Non-convergence is reported, not raised.
+
+    f is called on 1-d arrays of points (the atom locations, then the
+    quadrature nodes) with numpy semantics and returns values whose last
+    axis runs over those points; leading axes are a batch that the result
+    keeps.  When every atom lies in [-T, T], f receives
+    ``mu.atom_locations`` itself, so a caller may reuse quantities it
+    precomputed on that array."""
+    loc, w = mu.atom_locations, mu.atom_weights
+    lo, hi = np.searchsorted(loc, -T, "left"), np.searchsorted(loc, T, "right")
+    if (lo, hi) != (0, len(loc)):
+        loc, w = loc[lo:hi], w[lo:hi]
+    total = np.asarray(f(loc)) @ w
+    if mu.density is None:
+        return IntegrationResult(total, 0.0, True)
+    res = _gauss_legendre(lambda t: mu.density(t) * f(t), -T, T, 1.0, tol)
+    return IntegrationResult(total + res.value, res.error_estimate, res.converged)

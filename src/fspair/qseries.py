@@ -10,7 +10,7 @@ n_max; a fractional leading power of q is tracked separately in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from fspair.cli import parse_complex, run
+from test_measures import malformed_payloads
 
 
 def test_parse_complex():
@@ -104,6 +105,25 @@ def test_bridge_json(tmp_path):
     assert len(payload["sweep"]) >= 3
     residuals = [entry["abs_residual"] for entry in payload["sweep"]]
     assert residuals[-1] < residuals[0] + 1e-3
+
+
+def test_bridge_negative_complex_values(tmp_path):
+    out = tmp_path / "bridge.json"
+    assert run(["bridge", "--pair", "poisson", "--trunc", "64", "--k", "1",
+                "--z", "-0.3+1.5i", "--w", "-0.2+2i", "--tmax", "32",
+                "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["z"] == {"re": -0.3, "im": 1.5}
+    assert payload["w"] == {"re": -0.2, "im": 2.0}
+
+
+@pytest.mark.parametrize("case", sorted(malformed_payloads()))
+def test_malformed_pair_file_exit_2(tmp_path, capsys, case):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(malformed_payloads()[case]))
+    assert run(["verify", "--pair", "file", "--file", str(pair_file),
+                "--testfn", "bump"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_efcoef(tmp_path):

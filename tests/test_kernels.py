@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,42 @@ def test_bspline_partition_of_unity():
             assert abs(total - 1.0) < 1e-13
 
 
+def _bspline_recursive(n, t):
+    """The doubly recursive form of the central B-spline recurrence, the
+    reference for the bottom-up evaluation (exponential cost: small n only)."""
+    if abs(t) >= n / 2.0 and not (n == 1 and abs(t) == 0.5):
+        return 0.0
+    if n == 1:
+        return 0.5 if abs(t) == 0.5 else 1.0
+    return ((n / 2.0 + t) * _bspline_recursive(n - 1, t + 0.5)
+            + (n / 2.0 - t) * _bspline_recursive(n - 1, t - 0.5)) / (n - 1)
+
+
+def test_bspline_matches_recursion():
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        ts = np.concatenate([rng.uniform(-n / 2.0 - 0.5, n / 2.0 + 0.5, 20),
+                             np.arange(-n, n + 1) / 2.0])  # knots included
+        ref = np.array([_bspline_recursive(n, float(t)) for t in ts])
+        assert np.max(np.abs(bspline_value(n, ts) - ref)) < 1e-15
+
+
+def test_bspline_partition_of_unity_up_to_k_cap():
+    t = np.random.default_rng(2).uniform(-0.5, 0.5, 7)
+    for k in range(17):
+        n = 2 * (k + 1)
+        total = sum(bspline_value(n, t + j) for j in range(-n, n + 1))
+        assert np.max(np.abs(total - 1.0)) < 1e-13
+
+
+def test_eval_Shat_k16_is_fast():
+    t0 = time.perf_counter()
+    vals = eval_Shat(16, np.linspace(-18.0, 18.0, 1001))
+    assert time.perf_counter() - t0 < 1.0
+    assert vals[500] == 1.0 and vals[0] == 0.0 and vals[-1] == 0.0
+    assert np.all(vals >= 0.0)
+
+
 def test_eval_S_Shat_basics():
     for t in (-0.7, 0.0, 0.3, 0.99):
         assert abs(eval_Shat(0, t) - max(0.0, 1.0 - abs(t))) < 1e-15
@@ -179,6 +216,15 @@ def test_eval_G_fourier_pair():
                 re, _ = quad(re_f, -14.0, 14.0, points=[0.0], limit=500, epsabs=1e-10)
                 im, _ = quad(im_f, -14.0, 14.0, points=[0.0], limit=500, epsabs=1e-10)
                 assert abs(complex(re, im) - eval_Ghat(k, w, z, t)) < 1e-7
+
+
+def test_eval_G_array_matches_scalar():
+    lam = np.array([-2.3, -0.4, 0.0, 0.4, 1.7, 6.0])
+    for k in range(4):
+        w, z = -0.2 + 2j, 0.3 + 1.5j
+        vals = eval_G(k, w, z, lam)
+        for l, v in zip(lam, vals):
+            assert abs(v - eval_G(k, w, z, float(l))) <= 1e-15 * abs(v)
 
 
 def test_eval_G_continuity_near_i():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import fixed_quad
 
 from fspair.measures import (
+    ATOM_MERGE_EPS,
     Density,
     PairSchemaError,
     SummationFunction,
@@ -93,6 +94,21 @@ def test_atom_merging_and_zero_dropping():
     assert mu.truncation_radius == 2.0
 
 
+def test_atom_merging_chains_and_validation():
+    # a run of gaps below ATOM_MERGE_EPS merges into one atom at its first
+    # location, even when the run is longer than ATOM_MERGE_EPS
+    eps = ATOM_MERGE_EPS
+    mu = TemperedMeasure(np.array([1.0, 0.6 * eps, 0.0, 1.2 * eps]),
+                         np.array([4.0, 2.0, 1.0, 3.0], dtype=complex))
+    assert np.array_equal(mu.atom_locations, [0.0, 1.0])
+    assert np.array_equal(mu.atom_weights, [6.0, 4.0])
+    split = TemperedMeasure(np.array([0.0, 2.0 * eps]), np.array([1.0, 1.0 + 0j]))
+    assert len(split.atom_locations) == 2
+    for loc, w in (([0.0, math.nan], [1.0, 1.0]), ([0.0], [math.inf])):
+        with pytest.raises(ValueError):
+            TemperedMeasure(np.array(loc), np.array(w, dtype=complex))
+
+
 def test_summation_function_value_at():
     a = SummationFunction(np.array([-1.0, 0.5]), np.array([2.0 + 1j, 3.0]))
     assert a.value_at(-1.0) == 2.0 + 1j
@@ -172,7 +188,7 @@ def test_integrate_against_atoms():
     mu = make_poisson(4, 4).mu
 
     def f(x):
-        return math.exp(-50.0 * (x - 0.5) ** 2)  # no atom nearby
+        return np.exp(-50.0 * (x - 0.5) ** 2)  # no atom nearby
 
     assert abs(complex(integrate_against(mu, f, 4.0, 1e-10))) < 1e-5
     delta = TemperedMeasure(np.array([0.0]), np.array([1.0 + 0j]))
@@ -184,13 +200,31 @@ def test_integrate_against_density_vs_gauss_oracle():
                          Density("r_tanh_pi_r"), 3, "density only")
 
     def f(r):
-        return math.exp(-r * r)
+        return np.exp(-r * r)
 
     res = integrate_against(mu, f, 10.0, 1e-12)
     oracle, _ = fixed_quad(
         lambda r: r * np.tanh(math.pi * r) * np.exp(-r * r), -10.0, 10.0, n=200)
     assert abs(complex(res) - oracle) < 1e-8
     assert res.converged
+
+
+def test_integrate_against_window_is_closed():
+    mu = make_poisson(4, 4).mu
+    for T, count in ((0.0, 1), (2.0, 5), (2.5, 5), (4.0, 9), (9.0, 9)):
+        assert complex(integrate_against(mu, np.ones_like, T)) == count
+
+
+def test_integrate_against_batch():
+    # leading axes of the callback's values are a batch the result keeps
+    mu = TemperedMeasure(np.array([-1.0, 0.5]), np.array([2.0, 1.0 + 1j]),
+                         Density("r_tanh_pi_r"), 3, "atoms and density")
+    scales = np.array([1.0, 2.0, 3.0])
+    res = integrate_against(mu, lambda r: np.exp(-scales[:, None] * r * r), 6.0, 1e-12)
+    assert res.value.shape == (3,) and res.converged
+    for s, v in zip(scales, res.value):
+        single = integrate_against(mu, lambda r: np.exp(-s * r * r), 6.0, 1e-12)
+        assert abs(complex(single) - v) < 1e-13
 
 
 def _write_pair(tmp_path, payload, name="pair.json"):
@@ -268,6 +302,32 @@ def test_load_pair_selberg_shape(tmp_path):
     grid = [50, 100, 200, 400, 800]
     assert degree_probe(pair.mu, 3, grid).verdict == "converging"
     assert degree_probe(pair.mu, 2, grid).verdict == "diverging"
+
+
+def malformed_payloads():
+    """Pair files that must be rejected with PairSchemaError, by case name."""
+    def edit(change):
+        payload = _basic_payload()
+        change(payload)
+        return payload
+
+    def grid_without_value(p):
+        p["mu"]["density"] = {"kind": "grid", "grid": [{"t": 0.0, "value": 1.0},
+                                                       {"t": 1.0}]}
+
+    return {
+        "atom missing re": edit(lambda p: p["mu"]["atoms"][0].pop("re")),
+        "grid entry missing value": edit(grid_without_value),
+        "mu is a list": edit(lambda p: p.__setitem__("mu", [])),
+        "nan location": edit(lambda p: p["mu"]["atoms"][0].__setitem__("t", "nan")),
+        "inf weight": edit(lambda p: p["mu"]["atoms"][1].__setitem__("re", "inf")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(malformed_payloads()))
+def test_load_pair_rejects_malformed(tmp_path, case):
+    with pytest.raises(PairSchemaError):
+        load_pair(_write_pair(tmp_path, malformed_payloads()[case]))
 
 
 def test_make_empty():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fspair.measures import (
     FSPair,
@@ -150,6 +151,27 @@ def test_representation_agreement_all_builtin_pairs(poisson_model):
                 assert abs(s - f_integral(model, z)) < 10.0 * est
 
 
+def _cquad(f, a, b):
+    re, _ = quad(lambda t: f(t).real, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
+    im, _ = quad(lambda t: f(t).imag, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
+    return complex(re, im)
+
+
+def test_integral_part_density_branch_vs_quad(selberg_pair):
+    mu = selberg_pair.mu
+    T = mu.truncation_radius  # the density window
+    for k in (1, 2):
+        model = HolomorphicModel(selberg_pair, k, np.zeros(1))
+        for z in (0.4 + 0.7j, -1.1 + 1.3j, 2.5 + 0.3j):
+            def kernel(t):
+                return (1.0 + t * z) / ((t - z) * (1.0 + t * t) ** (k + 1))
+
+            total = (np.sum(mu.atom_weights * kernel(mu.atom_locations))
+                     + _cquad(lambda t: mu.density(t) * kernel(t), -T, T))
+            oracle = (z * z + 1.0) ** k / (2j * math.pi) * total
+            assert abs(model.integral_part(z) - oracle) < 1e-9
+
+
 # -------------------------------------------------------- Bohr coefficients
 
 def test_ef_coeff_poisson_support(poisson_pair):
@@ -164,6 +186,30 @@ def test_ef_coeff_poisson_support(poisson_pair):
 def test_ef_coeff_vanishing(poisson_pair):
     for lam in (0.5, -0.5, -1.0, -2.0):
         assert abs(ef_coeff(poisson_pair, lam, 1.0, 256.0)) < 1e-5
+
+
+def _ef_coeff_panel_quadrature(pair, lam, y, T):
+    """The line average by oscillation-aware 8-point Gauss-Legendre panels
+    over the series side, summed term by term."""
+    width = 1.0 / (4.0 * (abs(lam) + pair.a.lambda_max))
+    panels = max(8, int(math.ceil(2.0 * T / width)))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(-T, T, panels + 1)
+    h = 0.5 * (edges[1] - edges[0])
+    x = (0.5 * (edges[:-1] + edges[1:])[:, None] + h * nodes[None, :]).ravel()
+    f = np.full(x.shape, 0.5 * pair.a.value_at(0.0), dtype=complex)
+    for l, v in zip(pair.a.lambdas, pair.a.values):
+        if l > 0:
+            f += v * np.exp(2j * math.pi * l * (x + 1j * y))
+    vals = f * np.exp(-2j * math.pi * lam * (x + 1j * y))
+    return complex(h * np.sum(vals.reshape(panels, 8) @ weights) / (2.0 * T))
+
+
+def test_ef_coeff_closed_form_vs_quadrature():
+    pair = make_guinand(1.0 / 9.0, 64)
+    for lam, y, T in ((0.37, 1.0, 16.0), (1.3, 0.5, 9.5)):
+        ref = _ef_coeff_panel_quadrature(pair, lam, y, T)
+        assert abs(ef_coeff(pair, lam, y, T) - ref) < 1e-10
 
 
 def test_ef_coeff_validation(poisson_pair):
@@ -245,6 +291,16 @@ def test_jacobi_vs_numpy():
                                  - np.linalg.eigvalsh(H))) < 1e-12
 
 
+def test_jacobi_stops_on_measured_off_diagonal_mass(poisson_model):
+    rng = np.random.default_rng(123)
+    pts = [complex(x, y) for x, y in zip(rng.uniform(-2, 2, 80),
+                                         rng.uniform(0.3, 3.0, 80))]
+    H = nev_matrix(poisson_model, pts).entries
+    ref = np.linalg.eigvalsh(H)
+    err = np.max(np.abs(jacobi_eigenvalues(H) - ref)) / np.max(np.abs(ref))
+    assert err < 1e-12
+
+
 def test_neg_index_interlacing():
     # principal submatrix never has more negative eigenvalues than the full
     rng = np.random.default_rng(31)
@@ -303,6 +359,19 @@ def test_bridge_poisson_oracle():
     oracle = (math.pi / 2.0) / math.tanh(2.0 * math.pi) / (2j * math.pi)
     assert abs(bridge_rhs(pair, 0, 2j, 2j) - oracle) < 1e-3  # mu truncation
     assert abs(bridge_sum(pair, 0, 2j, 2j, 512.0) - oracle) < 1e-4
+
+
+def test_bridge_rhs_density_branch_vs_quad(selberg_pair):
+    mu = selberg_pair.mu
+    T = mu.truncation_radius  # the density window
+    for k, w, z in ((1, 0.5 + 2j, -1 + 1.5j), (2, -0.2 + 0.8j, 0.3 + 1.1j)):
+        def kernel(t):
+            return 1.0 / ((t - z) * (t - w.conjugate()) * (1.0 + t * t) ** k)
+
+        total = (np.sum(mu.atom_weights * kernel(mu.atom_locations))
+                 + _cquad(lambda t: mu.density(t) * kernel(t), -T, T))
+        oracle = total / (2.0 * math.pi ** (k + 1) * 1j)
+        assert abs(bridge_rhs(selberg_pair, k, w, z) - oracle) < 1e-9
 
 
 # ------------------------------------------------------------ almost periodic

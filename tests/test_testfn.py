@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fspair.measures import make_empty, make_poisson
 from fspair.testfn import TestFunctionSpec, eval_testfn, ft_testfn, verify_pair
@@ -125,3 +127,42 @@ def test_residual_linearity():
     combined_rhs = 2.0 * ra.rhs + 3.0 * rb.rhs
     expect = 2.0 * (ra.lhs - ra.rhs) + 3.0 * (rb.lhs - rb.rhs)
     assert abs((combined_lhs - combined_rhs) - expect) < 1e-14
+
+
+def test_verify_unreachable_tol_keeps_best_lhs():
+    pair, spec = make_poisson(), TestFunctionSpec("bump", 5.3)
+    good = verify_pair(pair, spec, 1e-12)
+    strict = verify_pair(pair, spec, 1e-17)
+    assert not good.degraded
+    assert strict.degraded
+    assert abs(strict.lhs - good.lhs) < 1e-10
+
+
+def _cquad(f, a, b):
+    re, _ = quad(lambda x: f(x).real, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
+    im, _ = quad(lambda x: f(x).imag, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
+    return complex(re, im)
+
+
+def test_verify_density_branch_vs_quad(selberg_pair):
+    spec = TestFunctionSpec("bump", 1.5, 0.2)
+    lo, hi = spec.shift - spec.scale, spec.shift + spec.scale
+
+    def bump(x):
+        u = (x - spec.shift) / spec.scale
+        return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+
+    @functools.lru_cache(maxsize=None)  # the outer quad asks twice per point
+    def phihat(t):  # the test function's FT, by oscillatory quadrature
+        opts = dict(weight="cos", wvar=2.0 * math.pi * t, epsabs=1e-13, epsrel=1e-13)
+        re, _ = quad(bump, lo, hi, **opts)
+        im, _ = quad(bump, lo, hi, **{**opts, "weight": "sin"})
+        return complex(re, -im)
+
+    mu = selberg_pair.mu
+    T = mu.truncation_radius + 1.0  # the lhs window
+    lhs = (sum(w * phihat(t) for t, w in zip(mu.atom_locations, mu.atom_weights))
+           + _cquad(lambda t: mu.density(t) * phihat(t), -T, T))
+    rep = verify_pair(selberg_pair, spec, 1e-10)
+    assert abs(rep.lhs - lhs) < 1e-8
+    assert not rep.degraded
