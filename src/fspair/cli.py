@@ -2,7 +2,8 @@
 emit JSON reports and CSV coefficient tables.
 
 Exit codes: 0 success within the requested tolerances, 1 tolerance
-violation (reports are still written), 2 usage or parse error.
+violation (reports are still written) or an unreachable quadrature
+tolerance, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def run(argv) -> int:
     except (PairSchemaError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a tolerance or fit that could not be reached
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

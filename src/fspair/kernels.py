@@ -63,8 +63,7 @@ class KernelPoint:
     value: complex
 
     def __post_init__(self):
-        if self.w.imag <= 0 or self.z.imag <= 0:
-            raise ValueError("w and z must lie in the upper half-plane")
+        _check_upper(self.w, self.z)
 
 
 def _check_upper(w: complex, z: complex) -> None:

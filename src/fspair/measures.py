@@ -160,10 +160,10 @@ class SummationFunction:
         return 0.0 + 0.0j
 
     def is_antipodal(self) -> bool:
-        for lam, v in zip(self.lambdas, self.values):
-            if self.value_at(-lam) != v.conjugate():
-                return False
-        return True
+        # lambdas are sorted and merged, so -lambdas must be lambdas reversed
+        lam, v = self.lambdas, self.values
+        return bool(np.all(np.abs(lam + lam[::-1]) < ATOM_MERGE_EPS)
+                    and np.all(v == v[::-1].conjugate()))
 
     @property
     def lambda_max(self) -> float:
@@ -351,13 +351,11 @@ def load_pair(path) -> FSPair:
 
 
 def _antipodal_part(a: SummationFunction, which: int) -> SummationFunction:
-    lams = np.unique(np.concatenate([a.lambdas, -a.lambdas])) if len(a.lambdas) else a.lambdas
-    vals = []
-    for lam in lams:
-        v = a.value_at(lam)
-        cm = a.value_at(-lam).conjugate()
-        vals.append((v + cm) / 2.0 if which == 1 else -1j * (cm - v) / 2.0)
-    return SummationFunction(lams, np.array(vals, dtype=complex), a.growth_constant)
+    lams = np.unique(np.concatenate([a.lambdas, -a.lambdas]))
+    v = np.array([a.value_at(lam) for lam in lams], dtype=complex)
+    cm = v[::-1].conjugate()  # lams is symmetric: a(-lam) is v reversed
+    vals = (v + cm) / 2.0 if which == 1 else -1j * (cm - v) / 2.0
+    return SummationFunction(lams, vals, a.growth_constant)
 
 
 def antipodal_split(pair: FSPair):
@@ -396,7 +394,7 @@ def degree_probe(mu: TemperedMeasure, n: int, T_grid: Sequence[float]) -> Degree
         val = float(np.sum(aw[mask] / (1.0 + loc[mask] ** 2) ** (n / 2.0)))
         if mu.density is not None:
             val += _gauss_legendre(lambda t: np.abs(mu.density(t)) / (1.0 + t ** 2) ** (n / 2.0),
-                                   -T, T, 1.0, 1e-10).value
+                                   -T, T, 1.0, 1e-10).checked("degree_probe")
         partials.append(val)
     inc = np.diff(partials)
     verdict = "inconclusive"
@@ -423,51 +421,72 @@ class IntegrationResult:
     def __complex__(self):
         return complex(self.value)
 
+    def checked(self, what: str):
+        """The value; RuntimeError if the tolerance was not reached."""
+        if not self.converged:
+            raise RuntimeError(f"{what}: quadrature tolerance not reached "
+                               f"(estimate {float(np.max(self.error_estimate)):.2e})")
+        return self.value
+
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL_BLOCK = 1024          # nodes per call of the integrand, bounding its memory
-_GL_MAX_NODES = 1 << 18   # refinement stops before a level exceeds this
+_GL_BLOCK = 1 << 18       # array elements (batch x nodes) per call of an integrand
+_GL_MAX_NODES = 1 << 20   # nodes one quadrature may evaluate in all
 
 
-def _gl_level(f, a, b, panels):
-    """One composite Gauss-Legendre sum over `panels` equal panels,
-    evaluating f on at most _GL_BLOCK nodes at a time."""
-    h = 0.5 * (b - a) / panels
-    per_call = max(1, _GL_BLOCK // len(_GL_X))
-    total = 0.0
-    for start in range(0, panels, per_call):
-        mid = a + h * (2.0 * np.arange(start, min(start + per_call, panels)) + 1.0)
-        vals = np.asarray(f((mid[:, None] + h * _GL_X).ravel()))
-        total = total + vals @ np.tile(_GL_W, len(mid))
-    return h * total
+def _gl_panels(f, lo, hi):
+    """12-point Gauss-Legendre sums over the panels [lo, hi]: f's batch axes,
+    then one axis over the panels.  f gets one panel first, then blocks of
+    at most _GL_BLOCK elements (batch x nodes)."""
+    n, half = len(_GL_X), 0.5 * (hi - lo)
+    x = ((lo + half)[:, None] + half[:, None] * _GL_X).ravel()
+    sums, start, step = [], 0, n
+    while start < len(x):
+        vals = np.asarray(f(x[start:start + step]))
+        sums.append(vals.reshape(vals.shape[:-1] + (-1, n)) @ _GL_W)
+        start += step
+        step = n * max(1, _GL_BLOCK // (n * max(1, vals.size // vals.shape[-1])))
+    return np.concatenate(sums, axis=-1) * half
 
 
 def _gauss_legendre(f, a, b, width, tol) -> IntegrationResult:
-    """integral_a^b f(x) dx by composite 12-point Gauss-Legendre.
-
-    Starts from panels no wider than `width` (the finest scale on which the
-    caller knows f varies) and doubles the panel count until two levels
-    agree within tol, or until a level would exceed _GL_MAX_NODES nodes.
-    f maps a 1-d node array to values whose last axis runs over the nodes;
-    leading axes are a batch, and value and error_estimate keep them, with
-    every batch element held to tol.  The last level is returned either way.
-    """
-    panels = max(1, min(math.ceil((b - a) / width), _GL_MAX_NODES // len(_GL_X)))
-    cur = _gl_level(f, a, b, panels)
+    """integral_a^b f(x) dx by composite 12-point Gauss-Legendre, refined
+    where needed: from equal panels no wider than `width` (the scale on
+    which the caller knows f varies; at most _GL_MAX_NODES // 36 panels),
+    halve every panel whose sum moves by more than its share of tol, until
+    the moves add up to at most tol or the nodes evaluated would pass
+    _GL_MAX_NODES.  f maps a 1-d node array to values whose last axis runs
+    over the nodes; leading axes are a batch that value and error_estimate
+    keep, with every batch element held to tol."""
+    n = len(_GL_X)
+    edges = np.linspace(a, b, max(1, min(math.ceil((b - a) / width), _GL_MAX_NODES // (3 * n))) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    coarse, used, total, err = _gl_panels(f, lo, hi), len(lo) * n, 0.0, 0.0
     while True:
-        prev, panels = cur, 2 * panels
-        cur = _gl_level(f, a, b, panels)
-        err = np.abs(cur - prev)
-        converged = bool(np.all(err <= tol))
-        if converged or 2 * panels * len(_GL_X) > _GL_MAX_NODES:
-            return IntegrationResult(cur, err, converged)
+        mid = 0.5 * (lo + hi)
+        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2, axis=-1)
+        used += 2 * n * len(lo)
+        fine = left + right
+        move = np.abs(fine - coarse)
+        # halve where some batch element moved too far, unless too narrow to halve
+        split = (np.any(move > tol * (hi - lo) / ((b - a) or 1.0), axis=tuple(range(move.ndim - 1)))
+                 & (lo < mid) & (mid < hi))
+        total = total + fine[..., ~split].sum(axis=-1)
+        err = err + move[..., ~split].sum(axis=-1)
+        open_err = err + move[..., split].sum(axis=-1)
+        converged = bool(np.all(open_err <= tol))
+        if converged or not split.any() or used + 4 * n * np.count_nonzero(split) > _GL_MAX_NODES:
+            return IntegrationResult(total + fine[..., split].sum(axis=-1), open_err, converged)
+        coarse = np.concatenate([left[..., split], right[..., split]], axis=-1)
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
 
 
 def integrate_against(mu: TemperedMeasure, f: Callable, T: float,
                       tol: float = 1e-10) -> IntegrationResult:
     """Pair mu against f on [-T, T]: exact atom sum plus Gauss-Legendre
-    quadrature of density * f, started at unit panel width and refined to
-    tol.  Non-convergence is reported, not raised.
+    quadrature of density * f, started at unit panel width and refined
+    locally to tol.  Non-convergence is reported, not raised.
 
     f is called on 1-d arrays of points (the atom locations, then the
     quadrature nodes) with numpy semantics and returns values whose last

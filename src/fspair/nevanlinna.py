@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernels import eval_G, eval_Shat
-from .measures import FSPair, _gauss_legendre, integrate_against
+from .measures import _GL_BLOCK, FSPair, _gauss_legendre, integrate_against
 
 __all__ = [
     "HolomorphicModel",
@@ -106,20 +106,28 @@ class HolomorphicModel:
     def integral_part(self, z, tol: float = 1e-10):
         """(z^2+1)^k/(2 pi i) * integral (1+tz)/(t-z) dmu(t)/(1+t^2)^{k+1}.
 
-        z may be an array of points; the result then has its shape."""
+        z may be an array of points; the result then has its shape.
+        RuntimeError if the density quadrature misses tol."""
         z = np.asarray(z, dtype=complex)
         if np.any(z.imag <= 0):
             raise ValueError("integral representation requires Im z > 0")
-        zc = z[..., None]  # batch axis ahead of the integration axis
+        mu = self.pair.mu
+        # points x atoms stays within the block budget; a density has its
+        # near-pole at Re z, so each point gets a quadrature mesh of its own
+        step = 1 if mu.density is not None else max(1, _GL_BLOCK // max(1, len(self._t)))
+        flat = z.ravel()
+        total = np.empty(flat.shape, dtype=complex)
+        for start in range(0, len(flat), step):
+            zc = flat[start:start + step, None]  # batch axis ahead of the integration axis
 
-        def kernel(t):
-            # the atom locations come with precomputed denominators
-            denom = self._denom if t is self._t else (1.0 + t * t) ** (self.k + 1)
-            return (1.0 + t * zc) / ((t - zc) * denom)
+            def kernel(t, zc=zc):
+                # the atom locations come with precomputed denominators
+                denom = self._denom if t is self._t else (1.0 + t * t) ** (self.k + 1)
+                return (1.0 + t * zc) / ((t - zc) * denom)
 
-        total = integrate_against(self.pair.mu, kernel,
-                                  self.pair.mu.truncation_radius or 50.0, tol).value
-        out = (z * z + 1.0) ** self.k / (2j * math.pi) * total
+            total[start:start + step] = integrate_against(
+                mu, kernel, mu.truncation_radius or 50.0, tol).checked("integral_part")
+        out = (z * z + 1.0) ** self.k / (2j * math.pi) * total.reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 
     def truncation_error_estimate(self, z: complex) -> float:
@@ -154,15 +162,11 @@ def fit_q(pair: FSPair, k: int, sample: Sequence[complex],
         if z.imag <= pair.strip_constant:
             raise ValueError("sample points must lie in the trusted strip")
     probe = HolomorphicModel(pair, k, np.zeros(1))
-    targets = []
-    errs = []
-    for z in sample:
-        s, stail = f_series(pair, z, with_error=True)
-        targets.append(s - probe.integral_part(z, quad_tol))
-        errs.append(stail + quad_tol + probe.truncation_error_estimate(z))
-    targets = np.array(targets)
-    deg = 2 * k
     zs = np.array(sample)
+    series, tails = zip(*(f_series(pair, z, with_error=True) for z in sample))
+    targets = np.array(series) - probe.integral_part(zs, quad_tol)
+    errs = [t + quad_tol + probe.truncation_error_estimate(z) for t, z in zip(tails, sample)]
+    deg = 2 * k
     # i * Q(z) = target: split into real equations for the real coefficients
     powers = np.vstack([zs ** m for m in range(deg + 1)]).T
     design = np.vstack([-powers.imag, powers.real])
@@ -226,7 +230,8 @@ def recover_measure(model: HolomorphicModel, a: float, b: float, s: float,
     to zero this converges to (1/2) integral_a^b dmu(t)/(1+t^2)^{k+1}.
 
     The k+1 contour exponent is forced by the target normalization: a unit
-    atom at t0 contributes exactly 1/(2 (1+t0^2)^{k+1}) in the limit."""
+    atom at t0 contributes exactly 1/(2 (1+t0^2)^{k+1}) in the limit.
+    RuntimeError if a quadrature misses tol."""
     if not a < b:
         raise ValueError("need a < b")
     if not 0.0 < s <= 0.1:
@@ -241,8 +246,10 @@ def recover_measure(model: HolomorphicModel, a: float, b: float, s: float,
         z = x + 1j * s
         return model.integral_part(z, tol) / (z * z + 1.0) ** (k + 1)
 
-    # F - iQ has poles a distance s below the contour: panels of width s
-    return float(_gauss_legendre(integrand, a, b, s, tol).value.real)
+    # F - iQ varies on the scale of the atom spacing away from its poles a
+    # distance s below the contour, which local refinement resolves; 0.1 is
+    # the largest admitted s
+    return float(_gauss_legendre(integrand, a, b, 0.1, tol).checked("recover_measure").real)
 
 
 def recover_measure_extrapolated(model: HolomorphicModel, a: float, b: float,
@@ -268,15 +275,13 @@ def nev_matrix(model: HolomorphicModel, points: Sequence[complex],
                tol: float = 1e-10) -> NevMatrix:
     """Hermitian test matrix i (F(z_n) + conj F(z_m)) / (z_n - conj z_m)."""
     pts = [complex(z) for z in points]
-    for z in pts:
-        if z.imag <= 0:
-            raise ValueError("points must lie in the upper half-plane")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < _MIN_POINT_SEP:
-                raise ValueError("near-duplicate points inflate the condition number")
-    fv = np.array([f_integral(model, z, tol) for z in pts])
     zs = np.array(pts)
+    if np.any(zs.imag <= 0):
+        raise ValueError("points must lie in the upper half-plane")
+    gaps = np.abs(zs[:, None] - zs[None, :]) + _MIN_POINT_SEP * np.eye(len(zs))
+    if np.any(gaps < _MIN_POINT_SEP):
+        raise ValueError("near-duplicate points inflate the condition number")
+    fv = np.array([f_integral(model, z, tol) for z in pts])
     num = 1j * (fv[:, None] + fv[None, :].conjugate())
     den = zs[:, None] - zs[None, :].conjugate()
     return NevMatrix(tuple(pts), num / den)
@@ -314,15 +319,10 @@ def jacobi_eigenvalues(H: np.ndarray, off_tol: float = 1e-14,
                 t = 1.0 if tau == 0.0 else math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
                 c = 1.0 / math.hypot(t, 1.0)
                 s = t * c
-                # columns: [p, q] <- [p, q] @ [[c, s], [-s e^{-i phi}, c e^{-i phi}]]
-                jp = np.array([c, -s * phase.conjugate()])
-                jq = np.array([s, c * phase.conjugate()])
-                cp = A[:, p] * jp[0] + A[:, q] * jp[1]
-                cq = A[:, p] * jq[0] + A[:, q] * jq[1]
-                A[:, p], A[:, q] = cp, cq
-                rp = A[p, :] * jp[0].conjugate() + A[q, :] * jp[1].conjugate()
-                rq = A[p, :] * jq[0].conjugate() + A[q, :] * jq[1].conjugate()
-                A[p, :], A[q, :] = rp, rq
+                # A <- J^H A J on columns and rows p, q
+                J = np.array([[c, s], [-s * phase.conjugate(), c * phase.conjugate()]])
+                A[:, [p, q]] = A[:, [p, q]] @ J
+                A[[p, q], :] = J.conj().T @ A[[p, q], :]
     return np.sort(np.diagonal(A).real)
 
 
@@ -353,13 +353,14 @@ def bridge_sum(pair: FSPair, k: int, w: complex, z: complex, T: float) -> comple
 
 def bridge_rhs(pair: FSPair, k: int, w: complex, z: complex,
                tol: float = 1e-10) -> complex:
-    """(1/(2 pi^{k+1} i)) integral dmu(t) / ((t-z)(t-wbar)(1+t^2)^k)."""
+    """(1/(2 pi^{k+1} i)) integral dmu(t) / ((t-z)(t-wbar)(1+t^2)^k);
+    RuntimeError if the density quadrature misses tol."""
     if w.imag <= 0 or z.imag <= 0:
         raise ValueError("w and z must lie in the upper half-plane")
     wb = w.conjugate()
     mu = pair.mu
     total = integrate_against(mu, lambda t: 1.0 / ((t - z) * (t - wb) * (1.0 + t * t) ** k),
-                              mu.truncation_radius or 50.0, tol).value
+                              mu.truncation_radius or 50.0, tol).checked("bridge_rhs")
     return complex(total) / (2.0 * math.pi ** (k + 1) * 1j)
 
 

@@ -77,18 +77,10 @@ def euler_coeffs(n_max: int) -> TruncatedPowerSeries:
         raise ValueError("n_max must be >= 0")
     c = np.zeros(n_max + 1)
     c[0] = 1.0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n_max and g2 > n_max:
-            break
-        s = 1.0 if k % 2 == 0 else -1.0
-        if g1 <= n_max:
-            c[g1] += s
-        if g2 <= n_max:
-            c[g2] += s
-        k += 1
+    k = np.arange(1, math.isqrt(n_max) + 2)  # k(3k-1)/2 >= k^2
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):  # all distinct
+        c[g[g <= n_max]] += sign[g <= n_max]
     return TruncatedPowerSeries(0.0, c, n_max)
 
 
@@ -128,11 +120,8 @@ def theta_coeffs(n_max: int) -> TruncatedPowerSeries:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     c = np.zeros(n_max + 1)
+    c[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 2.0
     c[0] = 1.0
-    m = 1
-    while m * m <= n_max:
-        c[m * m] = 2.0
-        m += 1
     return TruncatedPowerSeries(0.0, c, n_max)
 
 

@@ -141,9 +141,7 @@ def ft_testfn(spec: TestFunctionSpec, xi: float, tol: float = 1e-12) -> complex:
     if tol <= 0:
         raise ValueError("tol must be positive")
     out, _, unit = _ft(spec, xi, tol)
-    if not unit.converged:
-        raise RuntimeError(f"quadrature tolerance not reached "
-                           f"(estimate {float(np.max(unit.error_estimate)):.2e})")
+    unit.checked("ft_testfn")
     return complex(out)
 
 

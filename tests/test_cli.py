@@ -143,6 +143,18 @@ def test_recover(tmp_path):
     assert abs(payload["value_re"] - 0.25) < 1e-3
 
 
+def test_unreached_tolerance_exit_1(monkeypatch, capsys):
+    import fspair.nevanlinna as nev
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("recover_measure: quadrature tolerance not reached")
+
+    monkeypatch.setattr(nev, "recover_measure", unreachable)
+    assert run(["recover", "--pair", "poisson", "--k", "0", "--a", "0.5",
+                "--b", "1.5", "--s", "0.001"]) == 1
+    assert "tolerance not reached" in capsys.readouterr().err
+
+
 def test_recover_bad_interval():
     assert run(["recover", "--pair", "poisson", "--k", "0", "--a", "1.5",
                 "--b", "0.5", "--s", "0.001"]) == 2

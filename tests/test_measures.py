@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -225,6 +226,33 @@ def test_integrate_against_batch():
     for s, v in zip(scales, res.value):
         single = integrate_against(mu, lambda r: np.exp(-s * r * r), 6.0, 1e-12)
         assert abs(complex(single) - v) < 1e-13
+
+
+def test_gauss_legendre_near_pole_and_jump():
+    from fspair.measures import _gauss_legendre
+    s = 1e-6  # a pole a distance s below [0, 1], far narrower than the start width
+    res = _gauss_legendre(lambda x: 1.0 / (x - 0.5 - 1j * s), 0.0, 1.0, 0.25, 1e-10)
+    exact = cmath.log(0.5 - 1j * s) - cmath.log(-0.5 - 1j * s)
+    assert res.converged and abs(res.value - exact) < 1e-9
+    res = _gauss_legendre(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 0.25, 1e-10)
+    assert res.converged and abs(res.value - 2.0 / 3.0) < 1e-9
+
+
+def test_gauss_legendre_node_cap():
+    from fspair.measures import _GL_MAX_NODES, _gauss_legendre
+    seen = []
+
+    def f(x):
+        seen.append(len(x))
+        return np.cos(50.0 * x)
+
+    # a start width finer than the cap allows, and an unreachable tolerance
+    res = _gauss_legendre(f, 0.0, 1.0, 1e-9, 1e-30)
+    assert not res.converged
+    assert sum(seen) <= _GL_MAX_NODES
+    assert abs(res.value - math.sin(50.0) / 50.0) < 1e-13
+    with pytest.raises(RuntimeError, match="cap"):
+        res.checked("cap")
 
 
 def _write_pair(tmp_path, payload, name="pair.json"):

@@ -241,6 +241,70 @@ def test_recover_meyer_atom():
     assert abs(ext - (-0.96)) < 2e-3
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("s", [1e-5, 1e-6])
+def test_recover_small_s_poisson(k, s):
+    # the unit atom at t0 = 1 carries 1/(2 (1+t0^2)^{k+1}); the other atoms
+    # leak O(s) onto the contour
+    model = build_model(make_poisson(), k=k)
+    assert abs(recover_measure(model, 0.5, 1.5, s) - 1.0 / (2.0 * 2.0 ** (k + 1))) < s
+
+
+def _recover_oracle(mu, k, a, b, s):
+    """recover_measure's value at height s by Fubini: the contour integral of
+    (1+tz)/((t-z)(1+z^2)) = 1/(t-z) + z/(1+z^2) is a difference of logs,
+    then paired with mu over the window integral_part uses, by scipy quad."""
+    za, zb = complex(a, s), complex(b, s)
+
+    def kernel(t):
+        c = (cmath.log(t - za) - cmath.log(t - zb)
+             + 0.5 * (cmath.log(1.0 + zb * zb) - cmath.log(1.0 + za * za)))
+        return (c / (2j * math.pi * (1.0 + t * t) ** (k + 1))).real
+
+    val = sum(w.real * kernel(t) for t, w in zip(mu.atom_locations, mu.atom_weights))
+    T = mu.truncation_radius
+    return val + quad(lambda t: float(mu.density(t)) * kernel(t), -T, T,
+                      points=[a, b], limit=500, epsabs=1e-12)[0]
+
+
+@pytest.mark.parametrize("k,a,b,s", [(1, 0.5, 1.0, 1e-2), (0, 0.5, 1.0, 1e-3),
+                                     (1, -1.0, 0.5, 1e-3)])
+def test_recover_with_density_vs_quad(selberg_pair, k, a, b, s):
+    model = HolomorphicModel(selberg_pair, k, np.zeros(1))
+    val = recover_measure(model, a, b, s)
+    assert abs(val - _recover_oracle(selberg_pair.mu, k, a, b, s)) < 1e-8
+
+
+def test_recover_many_atoms_bounded_memory():
+    import tracemalloc
+    model = HolomorphicModel(make_poisson(t_max=50_000), 0, np.zeros(1))
+    assert len(model.pair.mu.atom_locations) > 100_000
+    tracemalloc.start()
+    try:
+        val = recover_measure(model, 0.5, 1.5, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # the batch of contour points x atoms is chunked
+    assert abs(val - 0.25) < 1e-2
+
+
+def test_integral_part_uses_precomputed_denominators(poisson_pair):
+    model = HolomorphicModel(poisson_pair, 1, np.zeros(1))
+    z = np.array([0.3 + 0.7j, -1.2 + 0.4j])
+    before = model.integral_part(z)
+    model._denom = 2.0 * model._denom  # the kernel must read this array
+    assert np.max(np.abs(model.integral_part(z) - before / 2.0)) < 1e-14
+
+
+def test_unreached_tolerance_raises(selberg_pair):
+    model = HolomorphicModel(selberg_pair, 1, np.zeros(1))
+    with pytest.raises(RuntimeError, match="integral_part"):
+        model.integral_part(0.3 + 1e-3j, tol=1e-30)
+    with pytest.raises(RuntimeError, match="bridge_rhs"):
+        bridge_rhs(selberg_pair, 1, 0.2 + 1j, 0.5 + 1e-3j, tol=1e-30)
+
+
 def test_recover_validation(poisson_model):
     with pytest.raises(ValueError):
         recover_measure(poisson_model, 0.9995, 1.5, 1e-3)  # endpoint near atom
