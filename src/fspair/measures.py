@@ -69,6 +69,8 @@ class Density:
             v = np.asarray(self.grid_v, dtype=float)
             if t.ndim != 1 or t.shape != v.shape or np.any(np.diff(t) <= 0):
                 raise PairSchemaError("grid samples must be 1-d with increasing t")
+            if len(t) < 2:
+                raise PairSchemaError("grid density needs at least two samples")
             object.__setattr__(self, "grid_t", t)
             object.__setattr__(self, "grid_v", v)
 
@@ -121,8 +123,8 @@ def _merge_atoms(loc, w):
     weights."""
     if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(w))):
         raise ValueError("locations and weights must be finite")
-    if len(loc) == 0:
-        return loc.copy(), w.copy()
+    if np.all(np.diff(loc) >= ATOM_MERGE_EPS) and np.all(w != 0.0):
+        return loc.copy(), w.copy()  # sorted and apart already: nothing to merge
     order = np.argsort(loc, kind="stable")
     loc, w = loc[order], w[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(loc) >= ATOM_MERGE_EPS]))
@@ -491,14 +493,10 @@ def integrate_against(mu: TemperedMeasure, f: Callable, T: float,
     f is called on 1-d arrays of points (the atom locations, then the
     quadrature nodes) with numpy semantics and returns values whose last
     axis runs over those points; leading axes are a batch that the result
-    keeps.  When every atom lies in [-T, T], f receives
-    ``mu.atom_locations`` itself, so a caller may reuse quantities it
-    precomputed on that array."""
+    keeps."""
     loc, w = mu.atom_locations, mu.atom_weights
     lo, hi = np.searchsorted(loc, -T, "left"), np.searchsorted(loc, T, "right")
-    if (lo, hi) != (0, len(loc)):
-        loc, w = loc[lo:hi], w[lo:hi]
-    total = np.asarray(f(loc)) @ w
+    total = np.asarray(f(loc[lo:hi])) @ w[lo:hi]
     if mu.density is None:
         return IntegrationResult(total, 0.0, True)
     res = _gauss_legendre(lambda t: mu.density(t) * f(t), -T, T, 1.0, tol)

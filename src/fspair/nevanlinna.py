@@ -39,6 +39,7 @@ __all__ = [
 
 _EF_DROP = 1e-18   # relative cutoff for exponentially dead series terms
 _MIN_POINT_SEP = 1e-8
+_UNIT = np.array([1.0, 1j])  # joins a real-part column and an imaginary-part column
 DEFAULT_NEG_TOL = 1e-9
 
 
@@ -97,8 +98,15 @@ class HolomorphicModel:
         self.k = k
         self.q_poly = q_poly
         self.fit_residual = fit_residual
-        self._t = pair.mu.atom_locations
-        self._denom = (1.0 + self._t ** 2) ** (k + 1)
+        # (1+tz)/((t-z)(1+t^2)^{k+1}) = 1/((t-z)(1+t^2)^k) - t/(1+t^2)^{k+1}: the
+        # atoms enter through the weights c = w/(1+t^2)^k, one real column (two
+        # for complex weights: real and imaginary part), and the z-independent
+        # S = sum c t/(1+t^2)
+        t, w = pair.mu.atom_locations, pair.mu.atom_weights
+        self._c = np.column_stack([w.real] if pair.mu.is_real() else [w.real, w.imag])
+        if k:
+            self._c /= ((1.0 + t * t) ** k)[:, None]
+        self._shift = complex((self._c.T @ (t / (1.0 + t * t))) @ _UNIT[:self._c.shape[1]])
 
     def q_at(self, z: complex) -> complex:
         return complex(np.polynomial.polynomial.polyval(z, self.q_poly))
@@ -106,29 +114,56 @@ class HolomorphicModel:
     def integral_part(self, z, tol: float = 1e-10):
         """(z^2+1)^k/(2 pi i) * integral (1+tz)/(t-z) dmu(t)/(1+t^2)^{k+1}.
 
-        z may be an array of points; the result then has its shape.
-        RuntimeError if the density quadrature misses tol."""
+        z may be an array of points; the result then has its shape.  The
+        atoms are summed as sum c/(t-z) - S (see __init__), with absolute
+        rounding of about eps * sum |c|/|t|.  RuntimeError if the density
+        quadrature misses tol."""
         z = np.asarray(z, dtype=complex)
         if np.any(z.imag <= 0):
             raise ValueError("integral representation requires Im z > 0")
-        mu = self.pair.mu
-        # points x atoms stays within the block budget; a density has its
-        # near-pole at Re z, so each point gets a quadrature mesh of its own
-        step = 1 if mu.density is not None else max(1, _GL_BLOCK // max(1, len(self._t)))
         flat = z.ravel()
-        total = np.empty(flat.shape, dtype=complex)
-        for start in range(0, len(flat), step):
-            zc = flat[start:start + step, None]  # batch axis ahead of the integration axis
+        total = self._atom_sum(flat)
+        density, k = self.pair.mu.density, self.k
+        if density is not None:
+            # the near-pole sits at Re z, so each point gets a quadrature mesh
+            T = self.pair.mu.truncation_radius or 50.0
+            for i, zi in enumerate(flat):
+                def kernel(t, zi=zi):
+                    return (1.0 + t * zi) / ((t - zi) * (1.0 + t * t) ** (k + 1))
 
-            def kernel(t, zc=zc):
-                # the atom locations come with precomputed denominators
-                denom = self._denom if t is self._t else (1.0 + t * t) ** (self.k + 1)
-                return (1.0 + t * zc) / ((t - zc) * denom)
-
-            total[start:start + step] = integrate_against(
-                mu, kernel, mu.truncation_radius or 50.0, tol).checked("integral_part")
-        out = (z * z + 1.0) ** self.k / (2j * math.pi) * total.reshape(z.shape)
+                total[i] += _gauss_legendre(lambda t: density(t) * kernel(t), -T, T, 1.0,
+                                            tol).checked("integral_part")
+        out = (z * z + 1.0) ** k / (2j * math.pi) * total.reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
+
+    def _atom_sum(self, z: np.ndarray) -> np.ndarray:
+        """sum c/(t-z) - S at the 1-d points z in real arithmetic, as
+        1/(t-z) = (d + iy)/(d^2 + y^2) with d = t - x, over blocks of at most
+        _GL_BLOCK points x atoms."""
+        t, c = self.pair.mu.atom_locations, self._c
+        out = np.full(z.shape, -self._shift)
+        if len(t) == 0 or len(z) == 0:
+            return out
+        # all points against one block of atoms, unless that makes the block
+        # narrower than it is tall; then blocks of points as well
+        width = min(len(t), max(math.isqrt(_GL_BLOCK), _GL_BLOCK // len(z)))
+        rows = min(len(z), _GL_BLOCK // width)
+        d_buf, r_buf = np.empty((2, rows, width))
+        for p in range(0, len(z), rows):
+            x, y = z.real[p:p + rows, None], z.imag[p:p + rows, None]
+            sum_dr = np.zeros((len(x), c.shape[1]))
+            sum_r = np.zeros_like(sum_dr)
+            for a in range(0, len(t), width):
+                tb, cb = t[a:a + width], c[a:a + width]
+                d = np.subtract(tb, x, out=d_buf[:len(x), :len(tb)])
+                r = np.multiply(d, d, out=r_buf[:len(x), :len(tb)])
+                r += y * y
+                np.reciprocal(r, out=r)
+                sum_r += r @ cb
+                d *= r
+                sum_dr += d @ cb
+            out[p:p + rows] += (sum_dr + 1j * y * sum_r) @ _UNIT[:c.shape[1]]
+        return out
 
     def truncation_error_estimate(self, z: complex) -> float:
         """Heuristic bound for the discarded |t| > T part of the integral."""
@@ -281,7 +316,7 @@ def nev_matrix(model: HolomorphicModel, points: Sequence[complex],
     gaps = np.abs(zs[:, None] - zs[None, :]) + _MIN_POINT_SEP * np.eye(len(zs))
     if np.any(gaps < _MIN_POINT_SEP):
         raise ValueError("near-duplicate points inflate the condition number")
-    fv = np.array([f_integral(model, z, tol) for z in pts])
+    fv = model.integral_part(zs, tol) + 1j * np.polynomial.polynomial.polyval(zs, model.q_poly)
     num = 1j * (fv[:, None] + fv[None, :].conjugate())
     den = zs[:, None] - zs[None, :].conjugate()
     return NevMatrix(tuple(pts), num / den)

@@ -175,6 +175,8 @@ class VerificationReport:
             "a_truncation": self.a_truncation,
             "quadrature_tol": self.quadrature_tol,
             "runtime_ms": self.runtime_ms,
+            "degraded": self.degraded,
+            "lhs_tail_estimate": self.lhs_tail_estimate,
         }
 
     def to_json(self) -> str:

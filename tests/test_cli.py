@@ -4,6 +4,7 @@ import json
 import pytest
 
 from fspair.cli import parse_complex, run
+from fspair.testfn import verify_pair
 from test_measures import malformed_payloads
 
 
@@ -40,6 +41,23 @@ def test_verify_tolerance_violation_exit_1(tmp_path):
                 "--scale", "5.3", "--tol", "1e-18", "--json", str(out)])
     assert code == 1
     assert out.exists()  # report still written on violation
+
+
+def test_verify_degraded_exit_1(tmp_path, monkeypatch):
+    import fspair.cli as cli
+
+    def degraded(*args, **kwargs):
+        report = verify_pair(*args, **kwargs)
+        report.degraded = True  # as when a test-function FT misses its tolerance
+        return report
+
+    monkeypatch.setattr(cli, "verify_pair", degraded)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--pair", "poisson", "--testfn", "bump",
+                "--scale", "5.3", "--tol", "1e-8", "--json", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["abs_residual"] < 1e-8 and payload["degraded"] is True
+    assert payload["lhs_tail_estimate"] >= 0.0
 
 
 def test_verify_usage_errors():

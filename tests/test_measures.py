@@ -110,6 +110,22 @@ def test_atom_merging_chains_and_validation():
             TemperedMeasure(np.array(loc), np.array(w, dtype=complex))
 
 
+def test_merge_atoms_fast_path_matches_merge_path():
+    from fspair.measures import _merge_atoms
+    rng = np.random.default_rng(5)
+    loc = np.cumsum(rng.uniform(0.1, 1.0, 1000)) - 300.0
+    loc[500] = loc[499] + 2.0 * ATOM_MERGE_EPS  # a gap just above the merge threshold
+    w = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    fast_loc, fast_w = _merge_atoms(loc, w)
+    assert not (np.shares_memory(fast_loc, loc) or np.shares_memory(fast_w, w))
+    # shuffled input, or one zero weight, takes the sort-and-merge path
+    order = rng.permutation(1000)
+    zero = (np.append(loc, loc[-1] + 1.0), np.append(w, 0.0))
+    for slow_loc, slow_w in (_merge_atoms(loc[order], w[order]), _merge_atoms(*zero)):
+        assert np.array_equal(fast_loc, slow_loc) and np.array_equal(fast_w, slow_w)
+    assert np.array_equal(fast_loc, loc) and np.array_equal(fast_w, w)
+
+
 def test_summation_function_value_at():
     a = SummationFunction(np.array([-1.0, 0.5]), np.array([2.0 + 1j, 3.0]))
     assert a.value_at(-1.0) == 2.0 + 1j
@@ -343,8 +359,12 @@ def malformed_payloads():
         p["mu"]["density"] = {"kind": "grid", "grid": [{"t": 0.0, "value": 1.0},
                                                        {"t": 1.0}]}
 
+    def one_sample_grid(p):
+        p["mu"]["density"] = {"kind": "grid", "grid": [{"t": 0.0, "value": 1.0}]}
+
     return {
         "atom missing re": edit(lambda p: p["mu"]["atoms"][0].pop("re")),
+        "one-sample grid density": edit(one_sample_grid),
         "grid entry missing value": edit(grid_without_value),
         "mu is a list": edit(lambda p: p.__setitem__("mu", [])),
         "nan location": edit(lambda p: p["mu"]["atoms"][0].__setitem__("t", "nan")),

@@ -289,12 +289,52 @@ def test_recover_many_atoms_bounded_memory():
     assert abs(val - 0.25) < 1e-2
 
 
-def test_integral_part_uses_precomputed_denominators(poisson_pair):
-    model = HolomorphicModel(poisson_pair, 1, np.zeros(1))
-    z = np.array([0.3 + 0.7j, -1.2 + 0.4j])
-    before = model.integral_part(z)
-    model._denom = 2.0 * model._denom  # the kernel must read this array
-    assert np.max(np.abs(model.integral_part(z) - before / 2.0)) < 1e-14
+def _integral_part_oracle(mu, k, z):
+    """The atom part of integral_part from its definition, in complex
+    arithmetic over all atoms at once, with the sum of the magnitudes of
+    the split's terms |c/(t-z)| + |c t/(1+t^2)|, c = w/(1+t^2)^k, scaled
+    like the value."""
+    t, w = mu.atom_locations, mu.atom_weights
+    zc = z[:, None]
+    scale = (z * z + 1.0) ** k / (2j * math.pi)
+    value = scale * (((1.0 + t * zc) / ((t - zc) * (1.0 + t * t) ** (k + 1))) @ w)
+    c = np.abs(w) / (1.0 + t * t) ** k
+    size = np.abs(scale) * (np.sum(c / np.abs(t - zc), axis=1)
+                            + np.sum(c * np.abs(t) / (1.0 + t * t)))
+    return value, size
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_atoms,n_points", [(100_003, 6), (1_001, 700)])
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weights):
+    # 6 points walk 100003 atoms in blocks of _GL_BLOCK // 6, the last one
+    # partial; 700 points walk 1001 atoms in 2 x 2 blocks, both partial
+    rng = np.random.default_rng(11 + k)
+    loc = np.sort(rng.uniform(-400.0, 250.0, n_atoms))
+    w = rng.normal(size=n_atoms) + (1j * rng.normal(size=n_atoms) if complex_weights else 0.0)
+    mu = TemperedMeasure(loc, w.astype(complex), None, 2 * k + 2)
+    pair = FSPair("skewed", mu, SummationFunction(np.array([1.0]), np.array([1.0 + 0j])),
+                  False, 0.1)
+    z = rng.uniform(-3.0, 3.0, n_points) + 1j * rng.uniform(0.05, 4.0, n_points)
+    z[:3] = [loc[7] + 2e-7 + 1e-6j, 600.0 + 800.0j, 1e3j]  # next to an atom; |z| = 1e3
+    value, size = _integral_part_oracle(mu, k, z)
+    got = HolomorphicModel(pair, k, np.zeros(1)).integral_part(z)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - value) <= 1e-12 * size)
+
+
+def test_integral_part_memory_is_blockwise():
+    import tracemalloc
+    model = HolomorphicModel(make_poisson(t_max=2_000_000), 0, np.zeros(1))
+    n = len(model.pair.mu.atom_locations)
+    tracemalloc.start()
+    try:
+        model.integral_part(0.3 + 0.7j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n / 2  # below half of one float64 array over the atoms
 
 
 def test_unreached_tolerance_raises(selberg_pair):

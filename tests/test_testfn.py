@@ -83,7 +83,7 @@ def test_verify_poisson_bump():
     d = rep.to_dict()
     assert set(d) == {"pair_name", "testfn", "lhs", "rhs", "abs_residual",
                       "mu_truncation", "a_truncation", "quadrature_tol",
-                      "runtime_ms"}
+                      "runtime_ms", "degraded", "lhs_tail_estimate"}
     assert d["pair_name"] == "poisson"
     assert d["mu_truncation"] == 64.0
 
