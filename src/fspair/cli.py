@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 
@@ -29,12 +30,20 @@ _COMPLEX_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
                          r"([+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)i$")
 
 
+def finite_float(text: str) -> float:
+    """A float argument; nan and inf (also by overflow) are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Literal 'a+bi' / 'a-bi' format, whitespace forbidden."""
+    """Literal 'a+bi' / 'a-bi' format with finite parts, whitespace forbidden."""
     m = _COMPLEX_RE.match(text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected a+bi format, got {text!r}")
-    return complex(float(m.group(1)), float(m.group(2)))
+    return complex(finite_float(m.group(1)), finite_float(m.group(2)))
 
 
 def _build_pair(args) -> FSPair:
@@ -185,7 +194,7 @@ def _cmd_nevindex(args) -> int:
 def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", required=True, choices=["poisson", "guinand", "meyer", "file"])
     p.add_argument("--file", default=None)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--c", type=finite_float, default=None)
     p.add_argument("--trunc", type=int, default=None)
 
 
@@ -201,15 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify the summation identity")
     _add_pair_flags(verify)
     verify.add_argument("--testfn", required=True, choices=["bump", "plateau", "gaussian"])
-    verify.add_argument("--scale", type=float, default=1.0)
-    verify.add_argument("--shift", type=float, default=0.0)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--scale", type=finite_float, default=1.0)
+    verify.add_argument("--shift", type=finite_float, default=0.0)
+    verify.add_argument("--tol", type=finite_float, default=1e-8)
     verify.add_argument("--json", default=None)
     verify.set_defaults(func=_cmd_verify)
 
     coeffs = sub.add_parser("coeffs", help="export coefficient tables")
     coeffs.add_argument("--family", required=True, choices=["guinand", "theta", "r3"])
-    coeffs.add_argument("--c", type=float, default=None)
+    coeffs.add_argument("--c", type=finite_float, default=None)
     coeffs.add_argument("--n", type=int, required=True)
     coeffs.add_argument("--csv", default=None)
     coeffs.set_defaults(func=_cmd_coeffs)
@@ -219,25 +228,25 @@ def build_parser() -> argparse.ArgumentParser:
     bridge.add_argument("--k", type=int, required=True)
     bridge.add_argument("--z", type=parse_complex, required=True)
     bridge.add_argument("--w", type=parse_complex, required=True)
-    bridge.add_argument("--tmax", type=float, required=True)
+    bridge.add_argument("--tmax", type=finite_float, required=True)
     bridge.add_argument("--sweep", action="store_true")
     bridge.add_argument("--json", default=None)
     bridge.set_defaults(func=_cmd_bridge)
 
     efc = sub.add_parser("efcoef", help="line-average coefficient of F")
     _add_pair_flags(efc)
-    efc.add_argument("--lambda", type=float, required=True)
-    efc.add_argument("--y", type=float, required=True)
-    efc.add_argument("--T", type=float, required=True)
+    efc.add_argument("--lambda", type=finite_float, required=True)
+    efc.add_argument("--y", type=finite_float, required=True)
+    efc.add_argument("--T", type=finite_float, required=True)
     efc.add_argument("--json", default=None)
     efc.set_defaults(func=_cmd_efcoef)
 
     rec = sub.add_parser("recover", help="recover measure mass on an interval")
     _add_pair_flags(rec)
     rec.add_argument("--k", type=int, required=True)
-    rec.add_argument("--a", type=float, required=True)
-    rec.add_argument("--b", type=float, required=True)
-    rec.add_argument("--s", type=float, required=True)
+    rec.add_argument("--a", type=finite_float, required=True)
+    rec.add_argument("--b", type=finite_float, required=True)
+    rec.add_argument("--s", type=finite_float, required=True)
     rec.add_argument("--json", default=None)
     rec.set_defaults(func=_cmd_recover)
 

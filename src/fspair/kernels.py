@@ -91,8 +91,7 @@ def r_poly(k: int) -> RPolynomial:
     u = TruncatedPowerSeries(0.0, -sqrt_s.coeffs + (np.arange(k + 1) == 0), k)
     v = series_pow(base, -0.5)
     coeffs = np.zeros(k + 1)
-    acc = v  # u^m / m! * v, built iteratively
-    coeffs[0] = acc.coeffs[k]
+    coeffs[0] = v.coeffs[k]  # then u^m / m! * v, u^m built iteratively
     um = TruncatedPowerSeries(0.0, (np.arange(k + 1) == 0).astype(float), k)
     for m in range(1, k + 1):
         um = series_mul(um, u)

@@ -138,35 +138,30 @@ class HolomorphicModel:
 
     def _atom_sum(self, z: np.ndarray) -> np.ndarray:
         """sum c/(t-z) - S at the 1-d points z in real arithmetic, as
-        1/(t-z) = (d + iy)/(d^2 + y^2) with d = t - x, over blocks of at most
-        _GL_BLOCK points x atoms."""
+        1/(t-z) = (d + iy)/(d^2 + y^2) with d = t - x, all points against
+        one block of atoms at a time, at most _GL_BLOCK elements."""
         t, c = self.pair.mu.atom_locations, self._c
         out = np.full(z.shape, -self._shift)
         if len(t) == 0 or len(z) == 0:
             return out
-        # all points against one block of atoms, unless that makes the block
-        # narrower than it is tall; then blocks of points as well
-        width = min(len(t), max(math.isqrt(_GL_BLOCK), _GL_BLOCK // len(z)))
-        rows = min(len(z), _GL_BLOCK // width)
-        d_buf, r_buf = np.empty((2, rows, width))
-        for p in range(0, len(z), rows):
-            x, y = z.real[p:p + rows, None], z.imag[p:p + rows, None]
-            sum_dr = np.zeros((len(x), c.shape[1]))
-            sum_r = np.zeros_like(sum_dr)
-            for a in range(0, len(t), width):
-                tb, cb = t[a:a + width], c[a:a + width]
-                d = np.subtract(tb, x, out=d_buf[:len(x), :len(tb)])
-                r = np.multiply(d, d, out=r_buf[:len(x), :len(tb)])
-                r += y * y
-                np.reciprocal(r, out=r)
-                sum_r += r @ cb
-                d *= r
-                sum_dr += d @ cb
-            out[p:p + rows] += (sum_dr + 1j * y * sum_r) @ _UNIT[:c.shape[1]]
-        return out
+        width = min(len(t), max(1, _GL_BLOCK // len(z)))
+        x, y = z.real[:, None], z.imag[:, None]
+        d_buf, r_buf = np.empty((2, len(z), width))
+        sum_dr, sum_r = np.zeros((2, len(z), c.shape[1]))
+        for a in range(0, len(t), width):
+            tb, cb = t[a:a + width], c[a:a + width]
+            d = np.subtract(tb, x, out=d_buf[:, :len(tb)])
+            r = np.multiply(d, d, out=r_buf[:, :len(tb)])
+            r += y * y
+            np.reciprocal(r, out=r)
+            sum_r += r @ cb
+            d *= r
+            sum_dr += d @ cb
+        return out + (sum_dr + 1j * y * sum_r) @ _UNIT[:c.shape[1]]
 
-    def truncation_error_estimate(self, z: complex) -> float:
-        """Heuristic bound for the discarded |t| > T part of the integral."""
+    def truncation_error_estimate(self, z):
+        """Heuristic bound for the discarded |t| > T part of the integral, at
+        a point z or elementwise on an array of points."""
         T = self.pair.mu.truncation_radius
         if T <= 1.0:
             return 0.0
@@ -190,17 +185,37 @@ def fit_q(pair: FSPair, k: int, sample: Sequence[complex],
     the combined series/quadrature/truncation error estimate (which signals
     a wrong k or a bad truncation).
     """
-    sample = [complex(z) for z in sample]
-    if len(sample) < 4 * k + 4:
+    model = build_model(pair, k, sample, quad_tol)
+    return model.q_poly, model.fit_residual
+
+
+def default_k(pair: FSPair) -> int:
+    """Smallest k with 2(k+1) >= the declared degree bound."""
+    return max(0, math.ceil(pair.mu.degree_bound / 2.0) - 1)
+
+
+def build_model(pair: FSPair, k: Optional[int] = None,
+                sample: Optional[Sequence[complex]] = None,
+                quad_tol: float = 1e-10) -> HolomorphicModel:
+    """Fit Q as fit_q describes, on a default strip sample when none is
+    given, and return the fitted evaluator model."""
+    if k is None:
+        k = default_k(pair)
+    if sample is None:
+        y0 = pair.strip_constant
+        n = 4 * k + 8
+        xs = np.linspace(-1.5, 1.5, n)
+        ys = y0 + 0.5 + 0.8 * np.abs(np.sin(7.0 * np.arange(n)))
+        sample = [complex(x, y) for x, y in zip(xs, ys)]
+    zs = np.array([complex(z) for z in sample])
+    if len(zs) < 4 * k + 4:
         raise ValueError("need at least 4k+4 sample points")
-    for z in sample:
-        if z.imag <= pair.strip_constant:
-            raise ValueError("sample points must lie in the trusted strip")
-    probe = HolomorphicModel(pair, k, np.zeros(1))
-    zs = np.array(sample)
-    series, tails = zip(*(f_series(pair, z, with_error=True) for z in sample))
-    targets = np.array(series) - probe.integral_part(zs, quad_tol)
-    errs = [t + quad_tol + probe.truncation_error_estimate(z) for t, z in zip(tails, sample)]
+    if np.any(zs.imag <= pair.strip_constant):
+        raise ValueError("sample points must lie in the trusted strip")
+    model = HolomorphicModel(pair, k, np.zeros(1))
+    series, tails = zip(*(f_series(pair, z, with_error=True) for z in zs))
+    targets = np.array(series) - model.integral_part(zs, quad_tol)
+    errs = np.array(tails) + quad_tol + model.truncation_error_estimate(zs)
     deg = 2 * k
     # i * Q(z) = target: split into real equations for the real coefficients
     powers = np.vstack([zs ** m for m in range(deg + 1)]).T
@@ -216,28 +231,8 @@ def fit_q(pair: FSPair, k: int, sample: Sequence[complex],
         raise RuntimeError(
             f"fit residual {rms:.2e} exceeds 10x error estimate {allowance:.2e}; "
             "wrong k or truncation too small")
-    return coef, rms
-
-
-def default_k(pair: FSPair) -> int:
-    """Smallest k with 2(k+1) >= the declared degree bound."""
-    return max(0, math.ceil(pair.mu.degree_bound / 2.0) - 1)
-
-
-def build_model(pair: FSPair, k: Optional[int] = None,
-                sample: Optional[Sequence[complex]] = None,
-                quad_tol: float = 1e-10) -> HolomorphicModel:
-    """Fit Q on a default strip sample and return the evaluator model."""
-    if k is None:
-        k = default_k(pair)
-    if sample is None:
-        y0 = pair.strip_constant
-        n = 4 * k + 8
-        xs = np.linspace(-1.5, 1.5, n)
-        ys = y0 + 0.5 + 0.8 * np.abs(np.sin(7.0 * np.arange(n)))
-        sample = [complex(x, y) for x, y in zip(xs, ys)]
-    coef, rms = fit_q(pair, k, sample, quad_tol)
-    return HolomorphicModel(pair, k, coef, rms)
+    model.q_poly, model.fit_residual = coef, rms
+    return model
 
 
 # ------------------------------------------------------- Bohr-type coefficients
@@ -266,25 +261,30 @@ def recover_measure(model: HolomorphicModel, a: float, b: float, s: float,
 
     The k+1 contour exponent is forced by the target normalization: a unit
     atom at t0 contributes exactly 1/(2 (1+t0^2)^{k+1}) in the limit.
-    RuntimeError if a quadrature misses tol."""
+
+    The contour integral is taken in closed form under the mu integral, so
+    mu is paired once with the resulting kernel; RuntimeError if the
+    density quadrature misses tol."""
     if not a < b:
         raise ValueError("need a < b")
     if not 0.0 < s <= 0.1:
         raise ValueError("s must lie in (0, 0.1]")
-    loc = model.pair.mu.atom_locations
+    mu, k = model.pair.mu, model.k
     for endpoint in (a, b):
-        if len(loc) and np.min(np.abs(loc - endpoint)) < 1e-3:
+        if len(mu.atom_locations) and np.min(np.abs(mu.atom_locations - endpoint)) < 1e-3:
             raise ValueError(f"endpoint {endpoint} is within 1e-3 of an atom")
-    k = model.k
+    za, zb = complex(a, s), complex(b, s)
 
-    def integrand(x):
-        z = x + 1j * s
-        return model.integral_part(z, tol) / (z * z + 1.0) ** (k + 1)
+    def kernel(t):
+        # the contour integral of (1+tz)/((t-z)(1+z^2)) = 1/(t-z) + z/(1+z^2);
+        # t - z stays in the lower half-plane and 1 + z^2 off the negative
+        # axis, so the principal logs are continuous along the contour
+        logs = (np.log(t - za) - np.log(t - zb)
+                + 0.5 * (np.log(1.0 + zb * zb) - np.log(1.0 + za * za)))
+        return logs / (2j * math.pi * (1.0 + t * t) ** (k + 1))
 
-    # F - iQ varies on the scale of the atom spacing away from its poles a
-    # distance s below the contour, which local refinement resolves; 0.1 is
-    # the largest admitted s
-    return float(_gauss_legendre(integrand, a, b, 0.1, tol).checked("recover_measure").real)
+    return float(integrate_against(mu, kernel, mu.truncation_radius or 50.0, tol)
+                 .checked("recover_measure").real)
 
 
 def recover_measure_extrapolated(model: HolomorphicModel, a: float, b: float,
@@ -333,11 +333,7 @@ def jacobi_eigenvalues(H: np.ndarray, off_tol: float = 1e-14,
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return A.real.diagonal().copy()
-    total = np.linalg.norm(A)
-    if total == 0.0:
-        return np.zeros(n)
+    total = np.linalg.norm(A)  # n <= 1 and A = 0 leave the loop at once
     off_diag = ~np.eye(n, dtype=bool)
     for _ in range(max_sweeps):
         # measured directly: |A|^2 - |diag A|^2 cancels below ~1e-8 |A|
@@ -366,12 +362,7 @@ def neg_index(m: NevMatrix, tol_rel: float = DEFAULT_NEG_TOL) -> int:
     if tol_rel <= 0:
         raise ValueError("tol_rel must be positive")
     eig = jacobi_eigenvalues(m.entries)
-    if len(eig) == 0:
-        return 0
-    norm = float(np.max(np.abs(eig)))
-    if norm == 0.0:
-        return 0
-    return int(np.sum(eig < -tol_rel * norm))
+    return int(np.sum(eig < -tol_rel * np.max(np.abs(eig), initial=0.0)))
 
 
 # ----------------------------------------------------------------- bridge sums

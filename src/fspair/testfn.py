@@ -195,8 +195,6 @@ def _tail_estimate(pair: FSPair, spec: TestFunctionSpec, nu: np.ndarray,
     a = spec.scale
     far = nu > max(1.0, 0.5 * a * T)
     c = float(np.max(np.abs(uhat[far]) * (nu[far] / a) ** m * a, initial=0.0))
-    if c == 0.0:
-        return 0.0
     return 2.0 * c * pair.mu.edge_mass_rate() * T ** (1 - m) / (m - 1)
 
 
@@ -206,6 +204,8 @@ def verify_pair(pair: FSPair, spec: TestFunctionSpec,
 
     When a test-function FT misses quadrature_tol, lhs is the sum of the
     best estimates and the report is flagged degraded."""
+    if not quadrature_tol > 0:
+        raise ValueError("quadrature_tol must be positive")
     if not spec.compact and not pair.gaussian_ok:
         raise ValueError("gaussian_diag is only admitted on pairs flagged "
                          "absolutely convergent for Gaussians")

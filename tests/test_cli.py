@@ -178,6 +178,22 @@ def test_recover_bad_interval():
                 "--b", "0.5", "--s", "0.001"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "efcoef --pair poisson --lambda 1 --y 1 --T nan",
+    "efcoef --pair poisson --lambda nan --y 1 --T 64",
+    "efcoef --pair poisson --lambda 1 --y inf --T 64",
+    "bridge --pair poisson --k 1 --z 0.5+1i --w 0.2+1i --tmax nan",
+    "bridge --pair poisson --k 1 --z 1e999+1i --w 0.2+1i --tmax 64",
+    "verify --pair poisson --testfn bump --scale inf",
+    "verify --pair poisson --testfn bump --tol 0",
+    "verify --pair poisson --testfn bump --tol -1",
+    "recover --pair poisson --k 0 --a 0.5 --b inf --s 0.01",
+])
+def test_bad_numeric_input_exit_2(argv, capsys):
+    assert run(argv.split()) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_nevindex(tmp_path):
     out = tmp_path / "nev.json"
     assert run(["nevindex", "--pair", "poisson", "--points", "6",

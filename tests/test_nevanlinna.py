@@ -275,6 +275,43 @@ def test_recover_with_density_vs_quad(selberg_pair, k, a, b, s):
     assert abs(val - _recover_oracle(selberg_pair.mu, k, a, b, s)) < 1e-8
 
 
+def _contour_oracle(model, a, b, s):
+    """recover_measure's value from its definition: scipy quad along the
+    contour of Re integral_part(z)/(z^2+1)^{k+1}, with the atoms between a
+    and b as break points."""
+    loc = model.pair.mu.atom_locations
+
+    def integrand(x):
+        z = complex(x, s)
+        return (model.integral_part(z) / (z * z + 1.0) ** (model.k + 1)).real
+
+    return quad(integrand, a, b, points=loc[(loc > a) & (loc < b)], limit=200,
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("which,k,a,b,s", [("poisson", 0, 0.5, 1.5, 1e-2),
+                                           ("poisson", 1, 0.5, 1.5, 1e-3),
+                                           ("selberg", 1, 0.5, 1.0, 1e-2)])
+def test_recover_vs_contour_definition(selberg_pair, which, k, a, b, s):
+    pair = make_poisson() if which == "poisson" else selberg_pair
+    model = HolomorphicModel(pair, k, np.zeros(1))
+    assert abs(recover_measure(model, a, b, s) - _contour_oracle(model, a, b, s)) < 1e-9
+
+
+def test_recover_with_density_quadratures_once(selberg_pair, monkeypatch):
+    from fspair import measures
+    calls = []
+    panels = measures._gl_panels
+
+    def counted(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(measures, "_gl_panels", counted)
+    recover_measure(HolomorphicModel(selberg_pair, 0, np.zeros(1)), -1.0, 1.5, 1e-3)
+    assert len(calls) <= 50  # one density quadrature, not one per contour point
+
+
 def test_recover_many_atoms_bounded_memory():
     import tracemalloc
     model = HolomorphicModel(make_poisson(t_max=50_000), 0, np.zeros(1))
@@ -308,8 +345,8 @@ def _integral_part_oracle(mu, k, z):
 @pytest.mark.parametrize("n_atoms,n_points", [(100_003, 6), (1_001, 700)])
 @pytest.mark.parametrize("complex_weights", [True, False])
 def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weights):
-    # 6 points walk 100003 atoms in blocks of _GL_BLOCK // 6, the last one
-    # partial; 700 points walk 1001 atoms in 2 x 2 blocks, both partial
+    # 6 points walk 100003 atoms in blocks of _GL_BLOCK // 6, 700 points walk
+    # 1001 atoms in blocks of _GL_BLOCK // 700; the last block is partial
     rng = np.random.default_rng(11 + k)
     loc = np.sort(rng.uniform(-400.0, 250.0, n_atoms))
     w = rng.normal(size=n_atoms) + (1j * rng.normal(size=n_atoms) if complex_weights else 0.0)
