@@ -9,7 +9,7 @@ tolerance or a degraded verification, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import math
 import re
@@ -25,6 +25,7 @@ from .testfn import TestFunctionSpec, verify_pair
 DEFAULT_POISSON_TRUNC = 64
 DEFAULT_GUINAND_TRUNC = 512
 DEFAULT_MEYER_TRUNC = 2000
+_ROWS_PER_WRITE = 1 << 16
 
 _COMPLEX_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
                          r"([+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)i$")
@@ -101,17 +102,13 @@ def _cmd_coeffs(args) -> int:
         values = theta_coeffs(args.n).coeffs
     else:
         values = r3_sequence(args.n).values.astype(float)
-    rows = [(n, values[n]) for n in range(args.n + 1)]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "alpha_n"])
-            for n, v in rows:
-                writer.writerow([n, repr(float(v))])
-    else:
-        print("n,alpha_n")
-        for n, v in rows:
-            print(f"{n},{float(v)!r}")
+    end = "\r\n" if args.csv else "\n"  # csv.writer's terminator in files
+    with (open(args.csv, "w", newline="", encoding="utf-8") if args.csv
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("n,alpha_n" + end)
+        for a in range(0, len(values), _ROWS_PER_WRITE):  # one write per block of rows
+            block = enumerate(values[a:a + _ROWS_PER_WRITE].tolist(), a)
+            fh.write("".join(f"{n},{v!r}{end}" for n, v in block))
     return 0
 
 

@@ -3,9 +3,9 @@
 Evaluates F from the exponential-series side and from the
 measure-integral (Nevanlinna) side, fits the real polynomial Q joining
 the two, computes line-average (Bohr) coefficients, recovers the measure
-by contour inversion near the real axis, assembles Hermitian test
-matrices with a cyclic Jacobi eigensolver for the negative-index count,
-and realizes the tapered kernel sum that bridges the two representations.
+by contour inversion near the real axis, counts the negative index of
+Hermitian test matrices with parallel-ordered cyclic Jacobi, and realizes
+the tapered kernel sum that bridges the two representations.
 """
 
 from __future__ import annotations
@@ -326,35 +326,39 @@ def jacobi_eigenvalues(H: np.ndarray, off_tol: float = 1e-14,
                        max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Each (p, q) step applies a phase to make the pivot real, then the
-    classical real rotation.  Converged when the off-diagonal Frobenius
-    mass drops below off_tol times the total."""
+    Each (p, q) step makes the pivot real by a phase, then applies the
+    classical real rotation; a cyclic-by-rows sweep is 2n - 3 array steps,
+    one per wavefront p + q = w of disjoint rotations.  Converged when the
+    off-diagonal Frobenius mass drops below off_tol times the total;
+    RuntimeError if max_sweeps run out first, ValueError if an entry is not finite."""
     A = np.array(H, dtype=complex)
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    total = np.linalg.norm(A)  # n <= 1 and A = 0 leave the loop at once
-    off_diag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # measured directly: |A|^2 - |diag A|^2 cancels below ~1e-8 |A|
-        if np.linalg.norm(A[off_diag]) <= off_tol * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                app, aqq = A[p, p].real, A[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = 1.0 if tau == 0.0 else math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # A <- J^H A J on columns and rows p, q
-                J = np.array([[c, s], [-s * phase.conjugate(), c * phase.conjugate()]])
-                A[:, [p, q]] = A[:, [p, q]] @ J
-                A[[p, q], :] = J.conj().T @ A[[p, q], :]
-    return np.sort(np.diagonal(A).real)
+    if A.shape != (n, n) or not np.all(np.isfinite(A)):
+        raise ValueError("matrix must be square with finite entries")
+    diag = A.diagonal()  # a view: it follows the rotations
+    total, sweeps = np.linalg.norm(A), 0  # n <= 1 and A = 0 leave the loop at once
+    # measured directly: |A|^2 - |diag A|^2 cancels below ~1e-8 |A|
+    while np.linalg.norm(A - np.diag(diag)) > off_tol * total:
+        if sweeps == max_sweeps:
+            raise RuntimeError(f"Jacobi eigensolver not converged after {max_sweeps} sweeps")
+        sweeps += 1
+        for w in range(1, 2 * n - 2):
+            # pairs (p, w - p), each after the rotations it shares an index with
+            p, q = slice(max(0, w - n + 1), (w + 1) // 2), slice(min(w, n - 1), w // 2, -1)
+            apq = A[p, q].diagonal()
+            r = np.abs(apq)
+            live = r > 1e-300  # t = 0 leaves the other pivots untouched
+            phase = np.divide(apq, r, out=np.ones_like(apq), where=live)
+            d = diag[q].real - diag[p].real  # tau = d/(2r): t scaled by 2r, no overflow
+            t = np.divide(np.copysign(2.0 * r, d), np.abs(d) + np.hypot(d, 2.0 * r),
+                          out=np.zeros_like(r), where=live)
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            # A <- J^H A J, J = [[c, s], [-s conj(phase), c conj(phase)]]: columns, rows
+            for M, ph in ((A, phase.conj()), (A.T, phase)):
+                x, y = M[:, p], M[:, q]
+                M[:, p], M[:, q] = c * x - s * ph * y, s * x + c * ph * y
+    return np.sort(diag.real)
 
 
 def neg_index(m: NevMatrix, tol_rel: float = DEFAULT_NEG_TOL) -> int:

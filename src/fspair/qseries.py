@@ -165,19 +165,18 @@ def guinand_coeffs(c: float, n_max: int) -> TruncatedPowerSeries:
 
 
 def r3_sequence(n_max: int) -> R3Table:
-    """r3(n) for 0 <= n <= n_max by enumerating integer triples with |m|^2 <= n_max."""
+    """r3(n) for 0 <= n <= n_max: the exact two-square counts convolved with
+    the theta weights by one float64 FFT, then rounded; RuntimeError if a
+    value misses an integer by more than 0.25."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     m = math.isqrt(n_max)
-    axis = np.arange(-m, m + 1, dtype=np.int64)
-    sq = axis * axis
-    # pair up two coordinates first to keep the peak array size at O(n_max)
-    pair = np.bincount((sq[:, None] + sq[None, :]).ravel(), minlength=n_max + 1)[: n_max + 1]
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    for s in sq[m:]:  # distinct squares 0, 1, 4, ...
-        mult = 1 if s == 0 else 2
-        room = n_max - s
-        if room < 0:
-            break
-        counts[s:] += mult * pair[: room + 1]
+    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
+    r2 = np.bincount((sq[:, None] + sq[None, :]).ravel(), minlength=n_max + 1)[: n_max + 1]
+    size = 1 << (2 * n_max).bit_length()  # > 2 n_max: no wrap-around
+    conv = np.fft.irfft(np.fft.rfft(r2, size) * np.fft.rfft(theta_coeffs(n_max).coeffs, size),
+                        size)[: n_max + 1]
+    counts = np.rint(conv).astype(np.int64)
+    if np.max(np.abs(conv - counts)) > 0.25:
+        raise RuntimeError("r3 convolution missed an integer by more than 0.25")
     return R3Table(counts, n_max)

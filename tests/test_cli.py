@@ -1,9 +1,15 @@
 import argparse
+import csv
+import functools
+import io
 import json
 
+import numpy as np
 import pytest
 
-from fspair.cli import parse_complex, run
+from fspair import nevanlinna
+from fspair.cli import _ROWS_PER_WRITE, parse_complex, run
+from fspair.qseries import guinand_coeffs, r3_sequence
 from fspair.testfn import verify_pair
 from test_measures import malformed_payloads
 
@@ -90,6 +96,38 @@ def test_coeffs_r3(capsys):
     assert lines[1] == "0,1.0"
     assert lines[2] == "1,6.0"
     assert lines[8] == "7,0.0"
+
+
+def test_coeffs_rows_match_csv_writer(tmp_path, capsys):
+    cases = [(["guinand", "--c", repr(1.0 / 9.0)], 64, guinand_coeffs(1.0 / 9.0, 64).coeffs)]
+    for n in (1000, _ROWS_PER_WRITE + 1):  # the second crosses a block boundary
+        cases.append((["r3"], n, r3_sequence(n).values.astype(float)))
+    for family, n, values in cases:
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["n", "alpha_n"])
+        for i, v in enumerate(values):
+            writer.writerow([i, repr(float(v))])
+        path = tmp_path / "out.csv"
+        assert run(["coeffs", "--family", *family, "--n", str(n), "--csv", str(path)]) == 0
+        assert path.read_bytes() == ref.getvalue().encode()
+        capsys.readouterr()
+        assert run(["coeffs", "--family", *family, "--n", str(n)]) == 0
+        assert capsys.readouterr().out == ref.getvalue().replace("\r\n", "\n")
+
+
+def test_nevindex_eigensolver_errors_exit_codes(monkeypatch):
+    argv = ["nevindex", "--pair", "poisson", "--points", "3"]
+    nan = nevanlinna.NevMatrix((1j, 2j, 3j), np.full((3, 3), np.nan + 0j))
+    monkeypatch.setattr(nevanlinna, "nev_matrix", lambda model, pts: nan)
+    assert run(argv) == 2
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    hard = nevanlinna.NevMatrix(tuple(1j for _ in range(20)), B + B.conj().T)
+    monkeypatch.setattr(nevanlinna, "nev_matrix", lambda model, pts: hard)
+    monkeypatch.setattr(nevanlinna, "jacobi_eigenvalues",
+                        functools.partial(nevanlinna.jacobi_eigenvalues, max_sweeps=1))
+    assert run(argv) == 1
 
 
 def test_csv_determinism(tmp_path):

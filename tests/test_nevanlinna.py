@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -424,12 +425,70 @@ def test_nev_matrix_rejects_near_duplicates(poisson_model):
 
 def test_jacobi_vs_numpy():
     rng = np.random.default_rng(23)
-    for n in (1, 2, 4, 8):
+    for n in (1, 2, 3, 4, 8, 9, 80, 81):
         for _ in range(5):
             B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             H = (B + B.conj().T) / 2.0
             assert np.max(np.abs(jacobi_eigenvalues(H)
                                  - np.linalg.eigvalsh(H))) < 1e-12
+
+
+def test_jacobi_structured_inputs():
+    assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
+    assert np.array_equal(jacobi_eigenvalues(np.zeros((5, 5))), np.zeros(5))
+    # already diagonal: converged before the first sweep
+    assert np.array_equal(jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]), max_sweeps=0),
+                          [-1.0, 2.0, 3.0])
+    rng = np.random.default_rng(5)
+    # two interleaved blocks: every pivot between them is an exact zero
+    H = np.zeros((7, 7), dtype=complex)
+    for idx in ([0, 2, 4], [1, 3, 5, 6]):
+        B = rng.normal(size=(len(idx), len(idx))) + 1j * rng.normal(size=(len(idx), len(idx)))
+        H[np.ix_(idx, idx)] = B + B.conj().T
+    assert np.max(np.abs(jacobi_eigenvalues(H) - np.linalg.eigvalsh(H))) < 1e-12
+    # a triple eigenvalue
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    H = Q @ np.diag([1.0, -3.0, 1.0, 2.0, 1.0]) @ Q.conj().T
+    assert np.max(np.abs(jacobi_eigenvalues(H) - [-3.0, 1.0, 1.0, 1.0, 2.0])) < 1e-12
+    # a 1e-299 pivot against a 1e10 diagonal gap: tau = gap/(2|a_pq|) exceeds the
+    # float range, the rotation is the identity to rounding (no overflow warning)
+    H = np.array([[1e10, 1e-299, 0.0], [1e-299, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    assert np.max(np.abs(jacobi_eigenvalues(H) - [-1.0, 1.0, 1e10]) / [1.0, 1.0, 1e10]) < 1e-12
+
+
+def test_jacobi_graded_relative_accuracy():
+    # D M D with M positive definite and unit-diagonal, D from 1 down to 1e-10:
+    # eigenvalues down to ~1e-20, each held to high relative accuracy
+    # (Demmel-Veselic), the reason neg_index keeps Jacobi
+    for n in (16, 17):
+        rng = np.random.default_rng(n)
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        M = B @ B.conj().T / n + np.eye(n)
+        M /= np.sqrt(np.outer(M.diagonal().real, M.diagonal().real))
+        D = 10.0 ** (-10.0 * np.arange(n) / (n - 1))
+        H = D[:, None] * M * D[None, :]
+        with mpmath.workdps(50):
+            ref = np.sort([float(x) for x in
+                           mpmath.mp.eighe(mpmath.matrix(H.tolist()), eigvals_only=True)])
+        assert ref[0] < 1e-19
+        assert np.max(np.abs(jacobi_eigenvalues(H) - ref) / np.abs(ref)) < 1e-12
+
+
+def test_jacobi_raises_when_sweeps_run_out():
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    with pytest.raises(RuntimeError, match="not converged"):
+        jacobi_eigenvalues(B + B.conj().T, max_sweeps=1)
+
+
+def test_jacobi_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        H = np.eye(3, dtype=complex)
+        H[0, 2] = H[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigenvalues(H)
+    with pytest.raises(ValueError, match="finite"):
+        neg_index(NevMatrix((1j, 2j, 3j), np.full((3, 3), np.nan + 0j)))
 
 
 def test_jacobi_stops_on_measured_off_diagonal_mass(poisson_model):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,22 @@ def test_r3_vs_brute_force():
                 if s <= n_max:
                     brute[s] += 1
     assert np.array_equal(r3_sequence(n_max).values, brute)
+
+
+def _r3_shifted_adds(n_max):
+    """r3 by one shifted add of the two-square counts per square."""
+    m = math.isqrt(n_max)
+    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
+    pair = np.bincount((sq[:, None] + sq[None, :]).ravel(), minlength=n_max + 1)[: n_max + 1]
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    for s in sq[m:]:
+        counts[s:] += (1 if s == 0 else 2) * pair[: n_max - s + 1]
+    return counts
+
+
+def test_r3_vs_shifted_adds():
+    for n_max in [*range(301), 10**5]:
+        assert np.array_equal(r3_sequence(n_max).values, _r3_shifted_adds(n_max)), n_max
 
 
 def test_r3_structure_identities():
