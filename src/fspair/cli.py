@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -195,7 +196,9 @@ def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trunc", type=int, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every run."""
     parser = argparse.ArgumentParser(prog="fspair",
                                      description="Fourier summation pair toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,9 +272,8 @@ def _attach_complex_values(argv) -> list:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_complex_values(argv))
+        args = build_parser().parse_args(_attach_complex_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

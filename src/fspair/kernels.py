@@ -19,7 +19,6 @@ from .qseries import TruncatedPowerSeries, series_mul, series_pow
 
 __all__ = [
     "RPolynomial",
-    "KernelPoint",
     "r_poly",
     "b_coeffs",
     "eval_A",
@@ -52,18 +51,6 @@ class RPolynomial:
 
     def __call__(self, x):
         return np.polyval(self.coeffs[::-1], x)
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """An evaluated kernel sample at upper-half-plane arguments (w, z)."""
-
-    w: complex
-    z: complex
-    value: complex
-
-    def __post_init__(self):
-        _check_upper(self.w, self.z)
 
 
 def _check_upper(w: complex, z: complex) -> None:

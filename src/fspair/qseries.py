@@ -132,36 +132,35 @@ def guinand_coeffs(c: float, n_max: int) -> TruncatedPowerSeries:
     The quotient combines three Euler products (arguments q, q^2, q^4)
     raised to the real exponents 24c-2 and -(48c-5); the fractional
     prefactors combine to q^c exactly, so only integer powers are expanded.
-    Outside c in [0, 1/8] the coefficients grow exponentially and the
-    construction is rejected.
+    The series is exp of its logarithm, whose coefficients are exact
+    divisor sums.  At c = 0 the quotient is the theta series, returned in
+    closed form.  Outside c in [0, 1/8] the coefficients grow exponentially
+    and the construction is rejected.
     """
     if not (0.0 <= c <= GUINAND_C_MAX + 1e-15):
         raise ValueError("c must lie in [0, 1/8]")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if c == 0.0:
+        return theta_coeffs(n_max)
     a = 24.0 * c - 2.0
     b = 48.0 * c - 5.0
-    # multiply one (1 - q^d)^e factor at a time; the coefficients up to
-    # order n are final after step n, so large transient coefficients in
-    # the unconverged high orders never contaminate the result (forming
-    # the three full Euler-product powers first and multiplying them
-    # loses everything to cancellation near c = 0)
-    out = np.zeros(n_max + 1)
-    out[0] = 1.0
-    for n in range(1, n_max + 1):
-        for d, e in ((n, a), (2 * n, -b), (4 * n, a)):
-            if d > n_max:
-                continue
-            k_top = n_max // d
-            binom = np.zeros(k_top + 1)
-            binom[0] = 1.0
-            for k in range(1, k_top + 1):  # (1 - x)^e binomial series
-                binom[k] = binom[k - 1] * (k - 1 - e) / k
-            new = np.zeros(n_max + 1)
-            for k in range(k_top + 1):
-                new[k * d:] += binom[k] * out[: n_max + 1 - k * d]
-            out = new
-    return TruncatedPowerSeries(c, out, n_max)
+    # log prod (1 - q^n) = -sum sigma(N)/N q^N gives the log coefficients
+    # j L_j = -a sigma(j) + 2b sigma(j/2) [2|j] - 4a sigma(j/4) [4|j], exact
+    # to rounding, and N f_N = sum_j j L_j f_{N-j} adds only final orders
+    # (a product of one (1 - q^d)^e factor at a time sums large transient
+    # coefficients of orders not yet final and loses them to cancellation)
+    sigma = np.zeros(n_max + 1)
+    for d in range(1, n_max + 1):
+        sigma[d::d] += d
+    jL = -a * sigma
+    jL[::2] += 2.0 * b * sigma[: n_max // 2 + 1]
+    jL[::4] -= 4.0 * a * sigma[: n_max // 4 + 1]
+    f = np.zeros(n_max + 1)
+    f[0] = 1.0
+    for m in range(1, n_max + 1):
+        f[m] = np.dot(jL[1 : m + 1], f[m - 1 :: -1]) / m
+    return TruncatedPowerSeries(c, f, n_max)
 
 
 def r3_sequence(n_max: int) -> R3Table:

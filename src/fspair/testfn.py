@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import FSPair, IntegrationResult, _gauss_legendre, integrate_against
+from .measures import _GL_BLOCK, _GL_MAX_NODES, FSPair, IntegrationResult, integrate_against
 
 __all__ = [
     "TestFunctionSpec",
@@ -97,30 +97,38 @@ def eval_testfn(spec: TestFunctionSpec, x):
 def _unit_ft(spec: TestFunctionSpec, nu: np.ndarray, tol: float) -> IntegrationResult:
     """FT of the unit profile at the frequencies nu >= 0, to tol each.
 
-    The profiles are real and even, so uhat(nu) = 2 int_0^half u(x)
-    cos(2 pi nu x) dx: a non-uniform cosine transform of the profile sampled
-    at the quadrature nodes.  Frequencies are grouped into bands whose
-    oscillation-aware starting widths 1/(4 nu + 1) lie within 25% of each
-    other; each band is one batched quadrature."""
+    The profiles are even, so uhat(nu) = 2 int_0^half u(x) cos(2 pi nu x) dx,
+    and vanish with all their derivatives at the ends: the trapezoidal rule
+    is spectrally accurate, its only error the aliasing |uhat(n/half - nu)|
+    of n panels (Trefethen & Weideman, SIAM Review 56, 2014).  Each doubling
+    of n adds the midpoints as one product cos(2 pi nu x^T) @ (w u), in row
+    blocks of _GL_BLOCK elements.  Past the smallest power of two above
+    half * max(nu), n doubles until two successive rules agree to tol at
+    every nu.  It stops unconverged where n would pass _GL_MAX_NODES, or
+    where the largest difference stops shrinking within the sum's rounding
+    bound (above that bound a difference may grow for one doubling, where
+    the coarser rule's aliasing falls near a zero of uhat)."""
     half = 1.0 if spec.compact else 8.5
-    width = np.minimum(0.25, 1.0 / (4.0 * nu + 1.0))
-    band = np.floor(np.log(width) / math.log(1.25))
-    value, err = np.empty_like(nu), np.empty_like(nu)
-    converged = True
-    for b in np.unique(band):
-        sel = band == b
-        two_pi_nu = 2.0 * math.pi * nu[sel]
-
-        def integrand(x):
-            vals = np.multiply.outer(two_pi_nu, x)  # the one frequencies x nodes array
-            np.cos(vals, out=vals)
-            vals *= _unit_profile(spec, x)
-            return vals
-
-        res = _gauss_legendre(integrand, 0.0, half, float(np.min(width[sel])), tol / 2.0)
-        value[sel], err[sel] = 2.0 * res.value, 2.0 * res.error_estimate
-        converged = converged and res.converged
-    return IntegrationResult(value, err, converged)
+    start = 1 << int(half * float(np.max(nu, initial=0.0))).bit_length()
+    ends = _unit_profile(spec, np.array([0.0, half]))
+    value = half * (ends[0] + ends[1] * np.cos(2.0 * math.pi * half * nu))  # one panel
+    err, n = np.full_like(nu, np.inf), 1
+    while 2 * n <= _GL_MAX_NODES and not np.all(err <= tol):
+        x = (np.arange(n) + 0.5) * (half / n)  # the midpoints: the new nodes of 2n panels
+        wu = (half / n) * _unit_profile(spec, x)
+        fine, rows = 0.5 * value, max(1, _GL_BLOCK // n)
+        for i in range(0, len(nu), rows):
+            block = np.multiply.outer(2.0 * math.pi * nu[i:i + rows], x)
+            fine[i:i + rows] += np.cos(block, out=block) @ wu
+        move, value, n = np.abs(fine - value), fine, 2 * n
+        if n > start:  # rules of at most `start` panels need not resolve max(nu)
+            # the n-panel sum rounds to within n eps times its weights' sum, 2 sum(wu)
+            floor = 2 * n * np.finfo(float).eps * float(np.sum(wu))
+            stalled = floor >= np.max(move) >= np.max(err)
+            err = move
+            if stalled:
+                break
+    return IntegrationResult(value, err, bool(np.all(err <= tol)))
 
 
 def _ft(spec: TestFunctionSpec, xi, tol: float):

@@ -66,6 +66,13 @@ def test_verify_degraded_exit_1(tmp_path, monkeypatch):
     assert payload["lhs_tail_estimate"] >= 0.0
 
 
+def test_verify_unreachable_tol_degraded_exit_1(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--pair", "poisson", "--testfn", "bump",
+                "--scale", "5.3", "--tol", "1e-17", "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["degraded"] is True
+
+
 def test_verify_usage_errors():
     assert run(["verify", "--pair", "nosuch", "--testfn", "bump"]) == 2
     assert run(["verify", "--pair", "poisson", "--testfn", "bump",

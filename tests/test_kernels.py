@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from fspair.kernels import (
-    KernelPoint,
     b_coeffs,
     bspline_value,
     eval_A,
@@ -243,12 +242,6 @@ def test_eval_G_domain_errors():
         eval_G(1, 1j + 1e-9, 2j, 0.5)
     with pytest.raises(ValueError):
         eval_G(-1, 2j, 2j, 0.5)
-
-
-def test_kernel_point_validation():
-    KernelPoint(1j, 2j, 0.0 + 0.0j)
-    with pytest.raises(ValueError):
-        KernelPoint(1j, 2 - 1j, 0.0 + 0.0j)
 
 
 def test_pf_identity():

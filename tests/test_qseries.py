@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,6 +103,35 @@ def test_guinand_alpha_formulas():
 def test_guinand_c0_is_theta():
     assert np.max(np.abs(guinand_coeffs(0.0, 256).coeffs
                          - theta_coeffs(256).coeffs)) < 1e-10
+
+
+def test_guinand_near_c0_is_theta():
+    # no cancellation near c = 0: the expected gap is about 1.4e-12
+    assert np.max(np.abs(guinand_coeffs(1e-15, 2048).coeffs
+                         - theta_coeffs(2048).coeffs)) < 1e-10
+
+
+def _mp_guinand(c, n):
+    """The eta quotient at 30 digits, one (1 - q^d)^e factor at a time."""
+    with mpmath.workdps(30):
+        c = mpmath.mpf(c)
+        a, b = 24 * c - 2, 48 * c - 5
+        out = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        for m in range(1, n + 1):
+            for d, e in ((m, a), (2 * m, -b), (4 * m, a)):
+                if d > n:
+                    continue
+                new, binom = out[:], mpmath.mpf(1)
+                for k in range(1, n // d + 1):  # (1 - x)^e binomial series
+                    binom *= (k - 1 - e) / k
+                    for i in range(n + 1 - k * d):
+                        new[i + k * d] += binom * out[i]
+                out = new
+        return np.array([float(v) for v in out])
+
+
+def test_guinand_vs_mpmath_product():
+    assert np.max(np.abs(guinand_coeffs(0.05, 250).coeffs - _mp_guinand(0.05, 250))) < 1e-12
 
 
 def test_guinand_rejects_out_of_range_c():

@@ -76,6 +76,17 @@ def test_ft_dilation_translation_identities():
         assert abs(lhs - rhs) < 1e-11
 
 
+@pytest.mark.parametrize("kind", ["bump", "plateau"])
+def test_ft_high_frequency_vs_oscillatory_quad(kind):
+    # 63.9 and 64.1 lie on either side of 1/h of the first 64-panel rule,
+    # where aliasing of a too coarse rule would show
+    spec = TestFunctionSpec(kind)
+    for nu in (0.3, 41.5, 63.9, 64.1, 150.0):
+        oracle, _ = quad(lambda x: eval_testfn(spec, x), 0.0, 1.0, weight="cos",
+                         wvar=2.0 * math.pi * nu, epsabs=1e-15, epsrel=1e-13, limit=200)
+        assert abs(ft_testfn(spec, nu, 1e-13) - 2.0 * oracle) < 1e-12
+
+
 def test_verify_poisson_bump():
     rep = verify_pair(make_poisson(), TestFunctionSpec("bump", 5.3), 1e-8)
     assert rep.abs_residual < 1e-8
