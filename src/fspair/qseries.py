@@ -133,16 +133,13 @@ def guinand_coeffs(c: float, n_max: int) -> TruncatedPowerSeries:
     raised to the real exponents 24c-2 and -(48c-5); the fractional
     prefactors combine to q^c exactly, so only integer powers are expanded.
     The series is exp of its logarithm, whose coefficients are exact
-    divisor sums.  At c = 0 the quotient is the theta series, returned in
-    closed form.  Outside c in [0, 1/8] the coefficients grow exponentially
+    divisor sums.  Outside c in [0, 1/8] the coefficients grow exponentially
     and the construction is rejected.
     """
     if not (0.0 <= c <= GUINAND_C_MAX + 1e-15):
         raise ValueError("c must lie in [0, 1/8]")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if c == 0.0:
-        return theta_coeffs(n_max)
     a = 24.0 * c - 2.0
     b = 48.0 * c - 5.0
     # log prod (1 - q^n) = -sum sigma(N)/N q^N gives the log coefficients
