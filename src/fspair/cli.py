@@ -116,19 +116,15 @@ def _cmd_coeffs(args) -> int:
 def _cmd_bridge(args) -> int:
     pair = _build_pair(args)
     rhs = nev.bridge_rhs(pair, args.k, args.w, args.z)
-    sweep = []
     T = 32.0
     Ts = []
     while T < args.tmax:
         Ts.append(T)
         T *= 2.0
-    Ts.append(args.tmax)
-    if args.sweep:
-        for T in Ts:
-            s = nev.bridge_sum(pair, args.k, args.w, args.z, T)
-            sweep.append({"T": T, "value_re": s.real, "value_im": s.imag,
-                          "abs_residual": abs(s - rhs)})
-    s = nev.bridge_sum(pair, args.k, args.w, args.z, args.tmax)
+    Ts.append(args.tmax)  # the sweep ends at tmax: its last sum is the reported one
+    sums = [nev.bridge_sum(pair, args.k, args.w, args.z, T)
+            for T in (Ts if args.sweep else Ts[-1:])]
+    s = sums[-1]
     payload = {
         "pair": pair.name, "k": args.k,
         "z": {"re": args.z.real, "im": args.z.imag},
@@ -139,7 +135,8 @@ def _cmd_bridge(args) -> int:
         "abs_residual": abs(s - rhs),
     }
     if args.sweep:
-        payload["sweep"] = sweep
+        payload["sweep"] = [{"T": T, "value_re": v.real, "value_im": v.imag,
+                             "abs_residual": abs(v - rhs)} for T, v in zip(Ts, sums)]
     if args.json:
         _write_json(args.json, payload)
     else:

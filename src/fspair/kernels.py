@@ -1,9 +1,9 @@
 """Auxiliary kernels used on the Nevanlinna side.
 
-Contains the polynomial family r_k extracted from the generating series
-exp((1 - sqrt(1-q)) X) / sqrt(1-q), the iterated-convolution kernels
-A_k(x) = e^{-2 pi |x|} pi^{1-k} r_{k-1}(2 pi |x|), the half-plane kernels
-G_k and their Fourier transforms, and the Fejer-type taper S_k whose
+Contains the polynomial family r_k of the generating series
+exp((1 - sqrt(1-q)) X) / sqrt(1-q) in closed form, the iterated-convolution
+kernels A_k(x) = e^{-2 pi |x|} pi^{1-k} r_{k-1}(2 pi |x|), the half-plane
+kernels G_k and their Fourier transforms, and the Fejer-type taper S_k whose
 Fourier transform is a normalized central B-spline.
 """
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .qseries import TruncatedPowerSeries, series_mul, series_pow
 
 __all__ = [
     "RPolynomial",
@@ -60,30 +58,19 @@ def _check_upper(w: complex, z: complex) -> None:
 
 @lru_cache(maxsize=None)
 def r_poly(k: int) -> RPolynomial:
-    """Extract r_k from the generating series by truncated composition in q.
+    """r_k in closed form: the coefficient of X^m is 2^m C(2k-m, k-m) / (4^k m!).
 
-    The coefficient of X^m in r_k is the q^k coefficient of
-    u(q)^m / m! * (1-q)^{-1/2} with u = 1 - sqrt(1-q).
+    It is the q^k coefficient of u(q)^m / m! * (1-q)^{-1/2} with
+    u = 1 - sqrt(1-q): for q = 4w, u = 2w C(w) with C the Catalan series, and
+    C(w)^m / sqrt(1-4w) = sum_n C(2n+m, n) w^n.  Each coefficient is one
+    quotient of exact integers, correctly rounded.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > R_POLY_K_CAP:
         raise ValueError(f"k is capped at {R_POLY_K_CAP}")
-    one_minus_q = np.zeros(k + 1)
-    one_minus_q[0] = 1.0
-    if k >= 1:
-        one_minus_q[1] = -1.0
-    base = TruncatedPowerSeries(0.0, one_minus_q, k)
-    sqrt_s = series_pow(base, 0.5)
-    u = TruncatedPowerSeries(0.0, -sqrt_s.coeffs + (np.arange(k + 1) == 0), k)
-    v = series_pow(base, -0.5)
-    coeffs = np.zeros(k + 1)
-    coeffs[0] = v.coeffs[k]  # then u^m / m! * v, u^m built iteratively
-    um = TruncatedPowerSeries(0.0, (np.arange(k + 1) == 0).astype(float), k)
-    for m in range(1, k + 1):
-        um = series_mul(um, u)
-        coeffs[m] = np.convolve(um.coeffs, v.coeffs)[k] / math.factorial(m)
-    return RPolynomial(k, coeffs)
+    return RPolynomial(k, [2 ** m * math.comb(2 * k - m, k - m) / (4 ** k * math.factorial(m))
+                           for m in range(k + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -158,32 +145,33 @@ def eval_Ghat(k: int, w: complex, z: complex, t: float) -> complex:
                   * (1.0 + t * t) ** k)
 
 
+def _pf_sum(k: int, zz: complex, lam) -> np.ndarray:
+    """sum_{j<k} j! b_{k-1,j} / (2 pi (1 + i zz))^{j+1} * (partial exponential
+    sum of 2 pi lam (1 + i zz) up to order j), at lam or an array of lam."""
+    b = b_coeffs(k)
+    two_pi = 2.0 * math.pi
+    step = two_pi * np.asarray(lam, dtype=float) * (1.0 + 1j * zz)
+    term = np.ones_like(step)
+    partial = term
+    total = 0.0
+    for j in range(k):
+        if j > 0:
+            term = term * step / j
+            partial = partial + term
+        total = total + (math.factorial(j) * b[j]
+                         / (two_pi ** (j + 1) * (1.0 + 1j * zz) ** (j + 1))) * partial
+    return total
+
+
 def _G_nonneg(k: int, w: complex, z: complex, lam: np.ndarray) -> np.ndarray:
     """Closed form of G_k(w, z, lam) at an array of lam >= 0."""
     wb = w.conjugate()
     t3 = np.exp(2j * math.pi * lam * z) / (z - wb)
     if k == 0:
         return t3
-    b = b_coeffs(k)
-    two_pi = 2.0 * math.pi
-
-    def inner(zz: complex) -> np.ndarray:
-        # sum_j j! b_j / (2 pi (1 + i zz))^{j+1} * (partial exponential sum of
-        # 2 pi lam (1 + i zz) up to order j)
-        step = two_pi * lam * (1.0 + 1j * zz)
-        term = np.ones_like(step)
-        partial = term
-        total = 0.0
-        for j in range(k):
-            if j > 0:
-                term = term * step / j
-                partial = partial + term
-            total = total + (math.factorial(j) * b[j]
-                             / (two_pi ** (j + 1) * (1.0 + 1j * zz) ** (j + 1))) * partial
-        return total
-
-    decay = np.exp(-two_pi * lam) / (z - wb)
-    return decay * (inner(wb) - inner(z)) + t3 / (math.pi ** k * (1.0 + z * z) ** k)
+    decay = np.exp(-2.0 * math.pi * lam) / (z - wb)
+    return (decay * (_pf_sum(k, wb, lam) - _pf_sum(k, z, lam))
+            + t3 / (math.pi ** k * (1.0 + z * z) ** k))
 
 
 def eval_G(k: int, w: complex, z: complex, lam):
@@ -203,18 +191,13 @@ def eval_G(k: int, w: complex, z: complex, lam):
 
 
 def pf_identity_residual(k: int, z: complex) -> float:
-    """Residual of the partial-fraction identity
-    sum_j j! b_{k-1,j} / (2 pi)^{j+1} [(1+iz)^{-(j+1)} + (1-iz)^{-(j+1)}]
+    """Residual of the partial-fraction identity behind G_k,
+    _pf_sum(k, z, 0) + _pf_sum(k, -z, 0)
+      = sum_j j! b_{k-1,j} / (2 pi)^{j+1} [(1+iz)^{-(j+1)} + (1-iz)^{-(j+1)}]
       = pi^{-k} (1+z^2)^{-k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if abs(z - 1j) < 1e-12 or abs(z + 1j) < 1e-12:
         raise ValueError("z = +-i is excluded")
-    b = b_coeffs(k)
-    two_pi = 2.0 * math.pi
-    lhs = 0.0 + 0.0j
-    for j in range(k):
-        lhs += (math.factorial(j) * b[j] / two_pi ** (j + 1)
-                * ((1.0 + 1j * z) ** (-(j + 1)) + (1.0 - 1j * z) ** (-(j + 1))))
-    rhs = 1.0 / (math.pi ** k * (1.0 + z * z) ** k)
-    return abs(lhs - rhs)
+    lhs = _pf_sum(k, z, 0.0) + _pf_sum(k, -z, 0.0)
+    return float(abs(lhs - 1.0 / (math.pi ** k * (1.0 + z * z) ** k)))

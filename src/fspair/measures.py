@@ -353,7 +353,12 @@ def load_pair(path) -> FSPair:
 
 
 def _antipodal_part(a: SummationFunction, which: int) -> SummationFunction:
-    lams = np.unique(np.concatenate([a.lambdas, -a.lambdas]))
+    # one point per mirror pair: |lambda| merged as atoms are, so that
+    # near-mirrored lambdas (within ATOM_MERGE_EPS, not exact negatives) do
+    # not become two points whose equal values the merge would add up
+    pos = _merge_atoms(np.abs(a.lambdas), np.ones(len(a.lambdas)))[0]
+    pos[pos < ATOM_MERGE_EPS / 2.0] = 0.0
+    lams = np.unique(np.concatenate([-pos, pos]))
     v = np.array([a.value_at(lam) for lam in lams], dtype=complex)
     cm = v[::-1].conjugate()  # lams is symmetric: a(-lam) is v reversed
     vals = (v + cm) / 2.0 if which == 1 else -1j * (cm - v) / 2.0

@@ -124,15 +124,16 @@ class HolomorphicModel:
         flat = z.ravel()
         total = self._atom_sum(flat)
         density, k = self.pair.mu.density, self.k
-        if density is not None:
-            # the near-pole sits at Re z, so each point gets a quadrature mesh
+        if density is not None and len(flat):
+            # one quadrature over the points as a batch: the mesh refines near
+            # every Re z, and each point is held to tol
             T = self.pair.mu.truncation_radius or 50.0
-            for i, zi in enumerate(flat):
-                def kernel(t, zi=zi):
-                    return (1.0 + t * zi) / ((t - zi) * (1.0 + t * t) ** (k + 1))
+            zc = flat[:, None]
 
-                total[i] += _gauss_legendre(lambda t: density(t) * kernel(t), -T, T, 1.0,
-                                            tol).checked("integral_part")
+            def integrand(t):
+                return density(t) * (1.0 + t * zc) / ((t - zc) * (1.0 + t * t) ** (k + 1))
+
+            total += _gauss_legendre(integrand, -T, T, 1.0, tol).checked("integral_part")
         out = (z * z + 1.0) ** k / (2j * math.pi) * total.reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 

@@ -18,7 +18,6 @@ __all__ = [
     "TruncatedPowerSeries",
     "R3Table",
     "euler_coeffs",
-    "series_mul",
     "series_pow",
     "guinand_coeffs",
     "theta_coeffs",
@@ -43,15 +42,6 @@ class TruncatedPowerSeries:
             raise ValueError("n_max must be >= 0")
         if c.shape != (self.n_max + 1,):
             raise ValueError("coeffs must have length n_max+1")
-
-    def dilate(self, d: int) -> "TruncatedPowerSeries":
-        """Substitute q -> q^d, truncated at the same n_max."""
-        if d < 1:
-            raise ValueError("dilation factor must be >= 1")
-        out = np.zeros(self.n_max + 1)
-        top = self.n_max // d
-        out[:: d] = self.coeffs[: top + 1][: len(out[::d])]
-        return TruncatedPowerSeries(self.leading_exponent * d, out, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -82,15 +72,6 @@ def euler_coeffs(n_max: int) -> TruncatedPowerSeries:
     for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):  # all distinct
         c[g[g <= n_max]] += sign[g <= n_max]
     return TruncatedPowerSeries(0.0, c, n_max)
-
-
-def series_mul(a: TruncatedPowerSeries, b: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Truncated Cauchy product; never extends past the common n_max."""
-    if a.n_max != b.n_max:
-        raise ValueError("series orders differ")
-    n = a.n_max
-    out = np.convolve(a.coeffs, b.coeffs)[: n + 1]
-    return TruncatedPowerSeries(a.leading_exponent + b.leading_exponent, out, n)
 
 
 def series_pow(s: TruncatedPowerSeries, e: float) -> TruncatedPowerSeries:

@@ -2,6 +2,7 @@ import cmath
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -44,6 +45,17 @@ def test_r_poly_generating_series():
             partial = sum(q ** k * float(r_poly(k)(X)) for k in range(K + 1))
             tail = 1.5 * sum(q ** k * float(r_poly(k)(X)) for k in range(K + 1, 17))
             assert abs(partial - closed) < 1e-8 + tail
+
+
+def test_r_poly_vs_mpmath_taylor():
+    # the q^k Taylor coefficients of u(q)^m / m! (1-q)^{-1/2}, u = 1 - sqrt(1-q),
+    # at 30 digits: the definition of r_k, independent of its binomial form
+    with mpmath.workdps(30):
+        for m in range(17):
+            taylor = mpmath.taylor(lambda q, m=m: (1 - mpmath.sqrt(1 - q)) ** m
+                                   / mpmath.factorial(m) / mpmath.sqrt(1 - q), 0, 16)
+            for k in range(m, 17):
+                assert abs(r_poly(k).coeffs[m] - taylor[k]) <= 1e-15 * abs(taylor[k])
 
 
 def test_r_poly_rejects_bad_k():

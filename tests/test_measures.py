@@ -168,18 +168,25 @@ def test_antipodal_split_random_reconstruction():
     rng = np.random.default_rng(17)
     lam = np.sort(rng.uniform(-3, 3, 7))
     vals = rng.normal(size=7) + 1j * rng.normal(size=7)
-    mu = TemperedMeasure(lam, rng.normal(size=7) + 1j * rng.normal(size=7))
-    a = SummationFunction(lam, vals)
-    p1, p2 = antipodal_split(FSPair("c", mu, a, False, 0.1))
-    for p in (p1, p2):
-        assert p.a.is_antipodal()
-        for l in p.a.lambdas:
-            assert abs(p.a.value_at(-l) - p.a.value_at(l).conjugate()) < 1e-15
-    for l in lam:
-        recon = p1.a.value_at(l) - 1j * p2.a.value_at(l)
-        assert abs(recon - a.value_at(l)) < 1e-14
-    recon_w = p1.mu.atom_weights - 1j * p2.mu.atom_weights
-    assert np.allclose(recon_w, mu.atom_weights, atol=1e-15)
+    w = rng.normal(size=7) + 1j * rng.normal(size=7)
+    # and lambdas within ATOM_MERGE_EPS of a mirror (their own, near 0), not
+    # exact negatives
+    cases = [(lam, vals, w),
+             (np.array([-0.333333333333333, 0.3333333333333333]), np.ones(2), w[:2]),
+             (np.array([3e-13]), np.ones(1), w[:1])]
+    for lam, vals, w in cases:
+        mu = TemperedMeasure(lam, w)
+        a = SummationFunction(lam, vals)
+        p1, p2 = antipodal_split(FSPair("c", mu, a, False, 0.1))
+        for p in (p1, p2):
+            assert p.a.is_antipodal()
+            for l in p.a.lambdas:
+                assert abs(p.a.value_at(-l) - p.a.value_at(l).conjugate()) < 1e-15
+        for l in lam:
+            recon = p1.a.value_at(l) - 1j * p2.a.value_at(l)
+            assert abs(recon - a.value_at(l)) < 1e-14
+        recon_w = p1.mu.atom_weights - 1j * p2.mu.atom_weights
+        assert np.allclose(recon_w, mu.atom_weights, atol=1e-15)
 
 
 def test_degree_probe_poisson():

@@ -313,6 +313,21 @@ def test_recover_with_density_quadratures_once(selberg_pair, monkeypatch):
     assert len(calls) <= 50  # one density quadrature, not one per contour point
 
 
+def test_integral_part_density_quadratures_once(selberg_pair, monkeypatch):
+    from fspair import measures
+    calls = []
+    panels = measures._gl_panels
+
+    def counted(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(measures, "_gl_panels", counted)
+    z = np.linspace(-2.5, 2.5, 30) + 0.7j
+    HolomorphicModel(selberg_pair, 1, np.zeros(1)).integral_part(z)
+    assert len(calls) <= 50  # one density quadrature, not one per point
+
+
 def test_recover_many_atoms_bounded_memory():
     import tracemalloc
     model = HolomorphicModel(make_poisson(t_max=50_000), 0, np.zeros(1))

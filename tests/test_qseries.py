@@ -9,7 +9,6 @@ from fspair.qseries import (
     euler_coeffs,
     guinand_coeffs,
     r3_sequence,
-    series_mul,
     series_pow,
     theta_coeffs,
 )
@@ -65,24 +64,17 @@ def test_series_pow_exponent_additivity():
         e1, e2 = rng.uniform(-5, 5, 2)
         p1, p2 = series_pow(s, e1), series_pow(s, e2)
         combined = series_pow(s, e1 + e2)
-        product = series_mul(p1, p2)
+        product = np.convolve(p1.coeffs, p2.coeffs)[:49]
         # error scale: the absolute-value convolution (the cancellation mass
         # inherent in the product, which float64 cannot beat)
         scale = np.maximum(1.0, np.convolve(np.abs(p1.coeffs),
                                             np.abs(p2.coeffs))[:49])
-        assert np.max(np.abs(combined.coeffs - product.coeffs) / scale) < 1e-12
+        assert np.max(np.abs(combined.coeffs - product) / scale) < 1e-12
 
 
 def test_series_pow_rejects_nonunit_constant():
     with pytest.raises(ValueError):
         series_pow(TruncatedPowerSeries(0.0, [2.0, 1.0], 1), 2.0)
-
-
-def test_dilate():
-    s = TruncatedPowerSeries(0.5, [1.0, 3.0, 5.0, 0.0, 0.0, 0.0], 5)
-    d = s.dilate(2)
-    assert d.leading_exponent == 1.0
-    assert list(d.coeffs) == [1.0, 0.0, 3.0, 0.0, 5.0, 0.0]
 
 
 def test_theta_coeffs():
