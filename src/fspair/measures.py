@@ -450,7 +450,7 @@ def _gl_panels(f, lo, hi):
     sums, start, step = [], 0, n
     while start < len(x):
         vals = np.asarray(f(x[start:start + step]))
-        sums.append(vals.reshape(vals.shape[:-1] + (-1, n)) @ _GL_W)
+        sums.append(vals.reshape(vals.shape[:-1] + (vals.shape[-1] // n, n)) @ _GL_W)
         start += step
         step = n * max(1, _GL_BLOCK // (n * max(1, vals.size // vals.shape[-1])))
     return np.concatenate(sums, axis=-1) * half

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernels import eval_G, eval_Shat
-from .measures import _GL_BLOCK, FSPair, _gauss_legendre, integrate_against
+from .measures import FSPair, _gauss_legendre, integrate_against
 
 __all__ = [
     "HolomorphicModel",
@@ -37,48 +37,46 @@ __all__ = [
     "ap_proxy",
 ]
 
-_EF_DROP = 1e-18   # relative cutoff for exponentially dead series terms
 _MIN_POINT_SEP = 1e-8
-_UNIT = np.array([1.0, 1j])  # joins a real-part column and an imaginary-part column
+_JACOBI_TOL = 1e-14  # off-diagonal Frobenius mass at which Jacobi stops, relative
+_CAUCHY_BLOCK = (1 << 17, 1 << 15)  # elements (points x atoms), atoms per block of the atom sum
 DEFAULT_NEG_TOL = 1e-9
 
 
 # ----------------------------------------------------------------- series side
 
-def f_series(pair: FSPair, z: complex, with_error: bool = False):
+def _series_terms(pair: FSPair):
+    """The series' term table: frequencies 0, then every lambda > 0 in
+    ascending order, with the coefficients a(0)/2, then a(lambda)."""
+    pos = pair.a.lambdas > 0
+    return (np.concatenate([[0.0], pair.a.lambdas[pos]]),
+            np.concatenate([[0.5 * pair.a.value_at(0.0)], pair.a.values[pos]]))
+
+
+def _point_or_array(out):
+    """A 0-d result as a Python scalar; an array result as it is."""
+    return out.item() if np.ndim(out) == 0 else out
+
+
+def f_series(pair: FSPair, z, with_error: bool = False):
     """a(0)/2 + sum_{l > 0} a(l) e^{2 pi i l z}, trusted for Im z above the
-    strip constant.  With with_error, also returns a truncation tail bound
-    derived from the declared growth constant."""
-    z = complex(z)
-    if z.imag <= pair.strip_constant:
+    strip constant, at a point z or elementwise on an array of points.  With
+    with_error, also returns a truncation tail bound per point, derived from
+    the declared growth constant."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= pair.strip_constant):
         raise ValueError("series representation requires Im z > strip_constant")
-    val = complex(_f_series_grid(pair, np.array(z.real), z.imag))
+    lam, v = _series_terms(pair)
+    # summed along the term axis, so each point's value is the same in any batch
+    val = _point_or_array(np.sum(np.exp(2j * math.pi * np.multiply.outer(z, lam)) * v, axis=-1))
     if not with_error:
         return val
-    c2 = pair.a.growth_constant
-    lmax = pair.a.lambda_max
     # sum |a| e^{-c2 l} is declared finite; bound the truncated tail crudely by
     # the last retained magnitude continued at the worst admissible growth rate
-    gap = 2.0 * math.pi * z.imag - c2
-    tail = 0.0
-    if gap > 0 and lmax > 0:
-        tail = math.exp(-gap * lmax) / gap
-    return val, tail
-
-
-def _f_series_grid(pair: FSPair, x: np.ndarray, y: float,
-                   n_terms: Optional[int] = None) -> np.ndarray:
-    """The series a(0)/2 + sum_{l > 0} a(l) e^{2 pi i l (x + iy)} at the
-    points x (any shape), over the first n_terms positive frequencies,
-    skipping terms that the e^{-2 pi l y} decay has made negligible."""
-    lam = pair.a.lambdas
-    pos = lam > 0
-    lam, v = lam[pos][:n_terms], pair.a.values[pos][:n_terms]
-    coef = v * np.exp(-2.0 * math.pi * lam * y)
-    size = np.abs(coef)
-    keep = size > _EF_DROP * max(1.0, float(np.max(size, initial=0.0)))
-    lam, coef = lam[keep], coef[keep]
-    return 0.5 * pair.a.value_at(0.0) + np.exp(2j * math.pi * np.multiply.outer(x, lam)) @ coef
+    gap, lmax = 2.0 * math.pi * z.imag - pair.a.growth_constant, pair.a.lambda_max
+    tail = np.divide(np.exp(-np.maximum(gap, 0.0) * lmax), gap, out=np.zeros(z.shape),
+                     where=(gap > 0) & (lmax > 0))
+    return val, _point_or_array(tail)
 
 
 # --------------------------------------------------------------- integral side
@@ -99,17 +97,18 @@ class HolomorphicModel:
         self.q_poly = q_poly
         self.fit_residual = fit_residual
         # (1+tz)/((t-z)(1+t^2)^{k+1}) = 1/((t-z)(1+t^2)^k) - t/(1+t^2)^{k+1}: the
-        # atoms enter through the weights c = w/(1+t^2)^k, one real column (two
-        # for complex weights: real and imaginary part), and the z-independent
-        # S = sum c t/(1+t^2)
+        # atoms enter through the weights c = w/(1+t^2)^k (real for a real mu)
+        # and the z-independent S = sum c t/(1+t^2)
         t, w = pair.mu.atom_locations, pair.mu.atom_weights
-        self._c = np.column_stack([w.real] if pair.mu.is_real() else [w.real, w.imag])
+        self._c = np.ascontiguousarray(w.real if pair.mu.is_real() else w)
         if k:
-            self._c /= ((1.0 + t * t) ** k)[:, None]
-        self._shift = complex((self._c.T @ (t / (1.0 + t * t))) @ _UNIT[:self._c.shape[1]])
+            self._c = self._c / (1.0 + t * t) ** k
+        self._shift = complex(np.sum(self._c * (t / (1.0 + t * t))))
 
-    def q_at(self, z: complex) -> complex:
-        return complex(np.polynomial.polynomial.polyval(z, self.q_poly))
+    def q_at(self, z):
+        """Q at a point z or elementwise on an array of points."""
+        return _point_or_array(np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
+                                                                self.q_poly))
 
     def integral_part(self, z, tol: float = 1e-10):
         """(z^2+1)^k/(2 pi i) * integral (1+tz)/(t-z) dmu(t)/(1+t^2)^{k+1}.
@@ -124,7 +123,7 @@ class HolomorphicModel:
         flat = z.ravel()
         total = self._atom_sum(flat)
         density, k = self.pair.mu.density, self.k
-        if density is not None and len(flat):
+        if density is not None:
             # one quadrature over the points as a batch: the mesh refines near
             # every Re z, and each point is held to tol
             T = self.pair.mu.truncation_radius or 50.0
@@ -134,31 +133,32 @@ class HolomorphicModel:
                 return density(t) * (1.0 + t * zc) / ((t - zc) * (1.0 + t * t) ** (k + 1))
 
             total += _gauss_legendre(integrand, -T, T, 1.0, tol).checked("integral_part")
-        out = (z * z + 1.0) ** k / (2j * math.pi) * total.reshape(z.shape)
-        return complex(out) if out.ndim == 0 else out
+        # on the 1-d points, so a point is scaled alike alone and in any batch
+        return _point_or_array(((flat * flat + 1.0) ** k / (2j * math.pi) * total).reshape(z.shape))
 
     def _atom_sum(self, z: np.ndarray) -> np.ndarray:
-        """sum c/(t-z) - S at the 1-d points z in real arithmetic, as
-        1/(t-z) = (d + iy)/(d^2 + y^2) with d = t - x, all points against
-        one block of atoms at a time, at most _GL_BLOCK elements."""
+        """sum c/(t-z) - S at the 1-d points z, as 1/(t-z) = (d + iy)/(d^2 + y^2)
+        with d = t - x (in real arithmetic for real c), over blocks of at most
+        _CAUCHY_BLOCK elements and atoms.  The atom blocks and the pairwise
+        sums along them do not depend on the batch, so a point gets the same
+        value alone as in any batch."""
         t, c = self.pair.mu.atom_locations, self._c
         out = np.full(z.shape, -self._shift)
-        if len(t) == 0 or len(z) == 0:
-            return out
-        width = min(len(t), max(1, _GL_BLOCK // len(z)))
-        x, y = z.real[:, None], z.imag[:, None]
-        d_buf, r_buf = np.empty((2, len(z), width))
-        sum_dr, sum_r = np.zeros((2, len(z), c.shape[1]))
-        for a in range(0, len(t), width):
-            tb, cb = t[a:a + width], c[a:a + width]
-            d = np.subtract(tb, x, out=d_buf[:, :len(tb)])
-            r = np.multiply(d, d, out=r_buf[:, :len(tb)])
-            r += y * y
-            np.reciprocal(r, out=r)
-            sum_r += r @ cb
-            d *= r
-            sum_dr += d @ cb
-        return out + (sum_dr + 1j * y * sum_r) @ _UNIT[:c.shape[1]]
+        width = min(len(t), _CAUCHY_BLOCK[1]) or 1
+        rows = _CAUCHY_BLOCK[0] // width
+        d_buf, r_buf = np.empty((2, min(len(z), rows), width), dtype=c.dtype)
+        for p in range(0, len(z), rows):
+            x, y = z.real[p:p + rows, None], z.imag[p:p + rows, None]
+            for a in range(0, len(t), width):
+                tb, cb = t[a:a + width], c[a:a + width]
+                d = np.subtract(tb, x, out=d_buf[:len(x), :len(tb)])
+                r = np.multiply(d, d, out=r_buf[:len(x), :len(tb)])
+                r += y * y
+                np.divide(cb, r, out=r)
+                out[p:p + rows] += 1j * y[:, 0] * r.sum(axis=-1)
+                r *= d
+                out[p:p + rows] += r.sum(axis=-1)
+        return out
 
     def truncation_error_estimate(self, z):
         """Heuristic bound for the discarded |t| > T part of the integral, at
@@ -171,8 +171,9 @@ class HolomorphicModel:
                 * T ** (-(2 * k + 1)) / (math.pi * (2 * k + 1)))
 
 
-def f_integral(model: HolomorphicModel, z: complex, tol: float = 1e-10) -> complex:
-    """The Nevanlinna-side value, valid on the whole upper half-plane."""
+def f_integral(model: HolomorphicModel, z, tol: float = 1e-10):
+    """The Nevanlinna-side value, valid on the whole upper half-plane, at a
+    point z or elementwise on an array of points."""
     return model.integral_part(z, tol) + 1j * model.q_at(z)
 
 
@@ -211,12 +212,10 @@ def build_model(pair: FSPair, k: Optional[int] = None,
     zs = np.array([complex(z) for z in sample])
     if len(zs) < 4 * k + 4:
         raise ValueError("need at least 4k+4 sample points")
-    if np.any(zs.imag <= pair.strip_constant):
-        raise ValueError("sample points must lie in the trusted strip")
+    series, tails = f_series(pair, zs, with_error=True)
     model = HolomorphicModel(pair, k, np.zeros(1))
-    series, tails = zip(*(f_series(pair, z, with_error=True) for z in zs))
-    targets = np.array(series) - model.integral_part(zs, quad_tol)
-    errs = np.array(tails) + quad_tol + model.truncation_error_estimate(zs)
+    targets = series - model.integral_part(zs, quad_tol)
+    errs = tails + quad_tol + model.truncation_error_estimate(zs)
     deg = 2 * k
     # i * Q(z) = target: split into real equations for the real coefficients
     powers = np.vstack([zs ** m for m in range(deg + 1)]).T
@@ -247,9 +246,8 @@ def ef_coeff(pair_or_model, lam: float, y: float, T: float) -> complex:
         raise ValueError("y must exceed the strip constant")
     if T <= 0:
         raise ValueError("T must be positive")
-    pos = pair.a.lambdas > 0
-    d = np.concatenate([[0.0], pair.a.lambdas[pos]]) - lam
-    v = np.concatenate([[0.5 * pair.a.value_at(0.0)], pair.a.values[pos]])
+    freqs, v = _series_terms(pair)
+    d = freqs - lam
     return complex(np.sum(v * np.exp(-2.0 * math.pi * d * y) * np.sinc(2.0 * T * d)))
 
 
@@ -310,27 +308,25 @@ class NevMatrix:
 def nev_matrix(model: HolomorphicModel, points: Sequence[complex],
                tol: float = 1e-10) -> NevMatrix:
     """Hermitian test matrix i (F(z_n) + conj F(z_m)) / (z_n - conj z_m)."""
-    pts = [complex(z) for z in points]
-    zs = np.array(pts)
+    zs = np.array([complex(z) for z in points])
     if np.any(zs.imag <= 0):
         raise ValueError("points must lie in the upper half-plane")
     gaps = np.abs(zs[:, None] - zs[None, :]) + _MIN_POINT_SEP * np.eye(len(zs))
     if np.any(gaps < _MIN_POINT_SEP):
         raise ValueError("near-duplicate points inflate the condition number")
-    fv = model.integral_part(zs, tol) + 1j * np.polynomial.polynomial.polyval(zs, model.q_poly)
+    fv = f_integral(model, zs, tol)
     num = 1j * (fv[:, None] + fv[None, :].conjugate())
     den = zs[:, None] - zs[None, :].conjugate()
-    return NevMatrix(tuple(pts), num / den)
+    return NevMatrix(tuple(zs.tolist()), num / den)
 
 
-def jacobi_eigenvalues(H: np.ndarray, off_tol: float = 1e-14,
-                       max_sweeps: int = 60) -> np.ndarray:
+def jacobi_eigenvalues(H: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
     Each (p, q) step makes the pivot real by a phase, then applies the
     classical real rotation; a cyclic-by-rows sweep is 2n - 3 array steps,
     one per wavefront p + q = w of disjoint rotations.  Converged when the
-    off-diagonal Frobenius mass drops below off_tol times the total;
+    off-diagonal Frobenius mass drops below _JACOBI_TOL times the total;
     RuntimeError if max_sweeps run out first, ValueError if an entry is not finite."""
     A = np.array(H, dtype=complex)
     n = A.shape[0]
@@ -339,7 +335,7 @@ def jacobi_eigenvalues(H: np.ndarray, off_tol: float = 1e-14,
     diag = A.diagonal()  # a view: it follows the rotations
     total, sweeps = np.linalg.norm(A), 0  # n <= 1 and A = 0 leave the loop at once
     # measured directly: |A|^2 - |diag A|^2 cancels below ~1e-8 |A|
-    while np.linalg.norm(A - np.diag(diag)) > off_tol * total:
+    while np.linalg.norm(A - np.diag(diag)) > _JACOBI_TOL * total:
         if sweeps == max_sweeps:
             raise RuntimeError(f"Jacobi eigensolver not converged after {max_sweeps} sweeps")
         sweeps += 1
@@ -401,14 +397,17 @@ def ap_proxy(pair: FSPair, y: float, trunc_list: Sequence[int],
              x_grid: Optional[np.ndarray] = None):
     """Sup over an x-grid of |series truncated to N terms - full series| at
     height y, for each N; a decreasing sequence is the proxy for the
-    trigonometric-polynomial approximation property."""
+    trigonometric-polynomial approximation property.  Truncation to N keeps
+    a(0)/2 and the first N positive frequencies."""
     if y <= pair.strip_constant:
         raise ValueError("y must exceed the strip constant")
+    trunc = [int(n) for n in trunc_list]
+    if min(trunc, default=0) < 0:
+        raise ValueError("truncation counts must be non-negative")
     if x_grid is None:
         x_grid = np.linspace(-10.0, 10.0, 1024)
-    full = _f_series_grid(pair, x_grid, y)
-    out = []
-    for n in trunc_list:
-        part = _f_series_grid(pair, x_grid, y, n_terms=int(n))
-        out.append(float(np.max(np.abs(part - full))))
-    return out
+    lam, v = _series_terms(pair)
+    terms = np.exp(2j * math.pi * np.multiply.outer(np.asarray(x_grid) + 1j * y, lam)) * v
+    # tails[..., j] is the sum of the terms from j on, accumulated from the far end
+    tails = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return [float(np.max(np.abs(tails[..., n + 1:n + 2]), initial=0.0)) for n in trunc]

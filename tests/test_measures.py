@@ -251,6 +251,22 @@ def test_integrate_against_batch():
         assert abs(complex(single) - v) < 1e-13
 
 
+def test_quadrature_empty_batch():
+    # a batch axis of length 0 gives empty, converged results
+    from fspair.measures import _gauss_legendre
+
+    def empty(t):
+        return np.zeros((0,) + t.shape)
+
+    res = _gauss_legendre(empty, -1.0, 1.0, 0.25, 1e-10)
+    assert res.value.shape == np.shape(res.error_estimate) == (0,) and res.converged
+    mu = TemperedMeasure(np.array([-1.0, 0.5]), np.array([2.0, 1.0 + 1j]),
+                         Density("r_tanh_pi_r"), 3, "atoms and density")
+    res = integrate_against(mu, empty, 6.0, 1e-12)
+    assert res.value.shape == (0,) and res.converged
+    assert res.checked("empty batch").shape == (0,)
+
+
 def test_gauss_legendre_near_pole_and_jump():
     from fspair.measures import _gauss_legendre
     s = 1e-6  # a pole a distance s below [0, 1], far narrower than the start width

@@ -152,6 +152,53 @@ def test_representation_agreement_all_builtin_pairs(poisson_model):
                 assert abs(s - f_integral(model, z)) < 10.0 * est
 
 
+# ------------------------------------------------------------ array contract
+
+# Im z from just above the strip (0.12) to 3
+_GRID = np.array([[0.3 + 0.5j, -1.1 + 0.9j, 2.7 + 0.25j, 1.7j],
+                  [-0.45 + 0.3j, 1.5 + 3.0j, 0.05 + 0.15j, -2.2 + 0.6j],
+                  [0.8 + 0.12j, 1.2 + 0.35j, -0.7 + 0.22j, 4.0 + 1.0j]])
+_CONTRACT_PAIRS = {"poisson": make_poisson, "guinand": lambda: make_guinand(1.0 / 9.0),
+                   "meyer": lambda: make_meyer(500)}
+
+
+def _pointwise(fn):
+    return np.array([[fn(complex(z)) for z in row] for row in _GRID])
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PAIRS))
+def test_evaluators_on_point_arrays(name):
+    pair = _CONTRACT_PAIRS[name]()
+    model = build_model(pair)
+    val, tail = f_series(pair, _GRID, with_error=True)
+    one = _pointwise(lambda z: f_series(pair, z))
+    assert val.shape == tail.shape == _GRID.shape
+    assert np.all(np.abs(val - one) <= 1e-15 * np.abs(one))
+    assert np.array_equal(tail, _pointwise(lambda z: f_series(pair, z, with_error=True)[1]))
+    q, one = model.q_at(_GRID), _pointwise(model.q_at)
+    assert q.shape == _GRID.shape
+    assert np.all(np.abs(q - one) <= 1e-15 * np.abs(one))
+    got, one = f_integral(model, _GRID), _pointwise(lambda z: f_integral(model, z))
+    assert got.shape == _GRID.shape
+    assert np.all(np.abs(got - one) <= 1e-15 * np.abs(one))
+
+
+def test_f_integral_on_point_arrays_with_density(selberg_pair):
+    model = HolomorphicModel(selberg_pair, 1, np.array([0.1, -0.2, 0.3]))
+    got, one = f_integral(model, _GRID), _pointwise(lambda z: f_integral(model, z))
+    assert got.shape == _GRID.shape
+    assert np.all(np.abs(got - one) <= 1e-15 * np.abs(one))
+
+
+def test_evaluators_scalar_types(poisson_pair, poisson_model):
+    val, tail = f_series(poisson_pair, 0.3 + 1j, with_error=True)
+    assert type(f_series(poisson_pair, 1j)) is complex and type(val) is complex
+    assert type(tail) is float
+    assert type(f_integral(poisson_model, 0.3 + 1j)) is complex
+    assert type(poisson_model.q_at(0.3 + 1j)) is complex
+    assert f_series(poisson_pair, np.zeros((0, 2)) + 1j).shape == (0, 2)
+
+
 def _cquad(f, a, b):
     re, _ = quad(lambda t: f(t).real, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
     im, _ = quad(lambda t: f(t).imag, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)
@@ -361,8 +408,8 @@ def _integral_part_oracle(mu, k, z):
 @pytest.mark.parametrize("n_atoms,n_points", [(100_003, 6), (1_001, 700)])
 @pytest.mark.parametrize("complex_weights", [True, False])
 def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weights):
-    # 6 points walk 100003 atoms in blocks of _GL_BLOCK // 6, 700 points walk
-    # 1001 atoms in blocks of _GL_BLOCK // 700; the last block is partial
+    # 6 points go 4 then 2 at a time over 100003 atoms, 3 blocks of 2^15 and a
+    # partial one; 700 points go 130 at a time (the last 50) over 1001 atoms
     rng = np.random.default_rng(11 + k)
     loc = np.sort(rng.uniform(-400.0, 250.0, n_atoms))
     w = rng.normal(size=n_atoms) + (1j * rng.normal(size=n_atoms) if complex_weights else 0.0)
@@ -372,9 +419,12 @@ def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weig
     z = rng.uniform(-3.0, 3.0, n_points) + 1j * rng.uniform(0.05, 4.0, n_points)
     z[:3] = [loc[7] + 2e-7 + 1e-6j, 600.0 + 800.0j, 1e3j]  # next to an atom; |z| = 1e3
     value, size = _integral_part_oracle(mu, k, z)
-    got = HolomorphicModel(pair, k, np.zeros(1)).integral_part(z)
+    model = HolomorphicModel(pair, k, np.zeros(1))
+    got = model.integral_part(z)
     assert got.shape == z.shape
     assert np.all(np.abs(got - value) <= 1e-12 * size)
+    for i in (0, 5):  # the same value alone as in the batch
+        assert model.integral_part(z[i]) == got[i]
 
 
 def test_integral_part_memory_is_blockwise():
@@ -606,6 +656,26 @@ def test_ap_proxy_guinand_decreasing():
     pair = make_guinand(1.0 / 9.0, 512)
     vals = ap_proxy(pair, 0.15, [16, 64, 128])
     assert vals[0] > vals[1] >= vals[2]
+
+
+def test_ap_proxy_matches_per_term_partial_sums():
+    pair = make_guinand(1.0 / 9.0)
+    y, x = 0.15, np.linspace(-3.0, 3.0, 301)
+    pos = pair.a.lambdas > 0
+    partial = np.full(x.shape, 0.5 * pair.a.value_at(0.0))
+    sums = [partial]
+    for lam, v in zip(pair.a.lambdas[pos], pair.a.values[pos]):
+        partial = partial + v * np.exp(-2.0 * math.pi * lam * y) * np.exp(2j * math.pi * lam * x)
+        sums.append(partial)
+    trunc = [0, 1, 16, 64, 200, 512, 513, 600]
+    for n, got in zip(trunc, ap_proxy(pair, y, trunc, x)):
+        want = float(np.max(np.abs(sums[min(n, len(sums) - 1)] - sums[-1])))
+        assert abs(got - want) <= 1e-14
+
+
+def test_ap_proxy_rejects_negative_truncation(poisson_pair):
+    with pytest.raises(ValueError, match="non-negative"):
+        ap_proxy(poisson_pair, 1.0, [2, -1])
 
 
 # ------------------------------------------------- algebraic identity property
