@@ -104,6 +104,7 @@ class HolomorphicModel:
         if k:
             self._c = self._c / (1.0 + t * t) ** k
         self._shift = complex(np.sum(self._c * (t / (1.0 + t * t))))
+        self._moments = {}  # far-field moments by radius exponent, see _far_moments
 
     def q_at(self, z):
         """Q at a point z or elementwise on an array of points."""
@@ -137,38 +138,92 @@ class HolomorphicModel:
         return _point_or_array(((flat * flat + 1.0) ** k / (2j * math.pi) * total).reshape(z.shape))
 
     def _atom_sum(self, z: np.ndarray) -> np.ndarray:
-        """sum c/(t-z) - S at the 1-d points z, as 1/(t-z) = (d + iy)/(d^2 + y^2)
-        with d = t - x (in real arithmetic for real c), over blocks of at most
-        _CAUCHY_BLOCK elements and atoms.  The atom blocks and the pairwise
-        sums along them do not depend on the batch, so a point gets the same
-        value alone as in any batch."""
+        """sum c/(t-z) - S at the 1-d points z.  Each point takes the power of
+        two r = 2^e at or above max(|z|, 1): its near atoms |t| < 8r enter
+        through _cauchy_sum, its far atoms through the moments of
+        _far_moments(e).  A model whose atoms fit in one block sums them all
+        directly.  Neither the split nor the blocks depend on the batch, so a
+        point gets the same value alone as in any batch."""
         t, c = self.pair.mu.atom_locations, self._c
         out = np.full(z.shape, -self._shift)
-        width = min(len(t), _CAUCHY_BLOCK[1]) or 1
-        rows = _CAUCHY_BLOCK[0] // width
-        d_buf, r_buf = np.empty((2, min(len(z), rows), width), dtype=c.dtype)
-        for p in range(0, len(z), rows):
-            x, y = z.real[p:p + rows, None], z.imag[p:p + rows, None]
-            for a in range(0, len(t), width):
-                tb, cb = t[a:a + width], c[a:a + width]
-                d = np.subtract(tb, x, out=d_buf[:len(x), :len(tb)])
-                r = np.multiply(d, d, out=r_buf[:len(x), :len(tb)])
-                r += y * y
-                np.divide(cb, r, out=r)
-                out[p:p + rows] += 1j * y[:, 0] * r.sum(axis=-1)
-                r *= d
-                out[p:p + rows] += r.sum(axis=-1)
+        if len(t) <= _CAUCHY_BLOCK[1]:
+            _cauchy_sum(t, c, z, out)
+            return out
+        frac, e = np.frexp(np.maximum(np.abs(z), 1.0))
+        e -= frac == 0.5  # 2^e is now the power of two at or above max(|z|, 1)
+        for ei in np.unique(e).tolist():
+            at = np.flatnonzero(e == ei)
+            zr, part = z[at], out[at]
+            lo, hi = _within(t, math.ldexp(8.0, ei))
+            _cauchy_sum(t[lo:hi], c[lo:hi], zr, part)
+            if hi - lo < len(t):
+                if ei not in self._moments:
+                    self._moments[ei] = self._far_moments(ei)
+                part += np.polynomial.polynomial.polyval(zr, self._moments[ei])
+            out[at] = part
         return out
+
+    def _far_moments(self, e: int) -> np.ndarray:
+        """The moments M_m = sum c t^-(m+1) over the atoms |t| >= 8r, r = 2^e,
+        so that those atoms give sum c/(t-z) = sum_m M_m z^m for |z| <= r.
+        One blockwise pass over the dyadic shells 8r 2^j <= |t| < 8r 2^(j+1),
+        where |z/t| <= 1/(8 2^j): shell j keeps _far_terms(j) terms, 18 in
+        the first shell and fewer further out."""
+        t, c = self.pair.mu.atom_locations, self._c
+        moments = np.zeros(_far_terms(0), dtype=c.dtype)
+        inner, j = _within(t, math.ldexp(8.0, e)), 0
+        while inner != (0, len(t)):
+            outer, terms = _within(t, math.ldexp(16.0, e + j)), _far_terms(j)
+            for a, b in ((outer[0], inner[0]), (inner[1], outer[1])):
+                for s in range(a, b, _CAUCHY_BLOCK[1]):
+                    u = 1.0 / t[s:min(s + _CAUCHY_BLOCK[1], b)]
+                    p = c[s:s + len(u)] * u
+                    for m in range(terms):
+                        moments[m] += p.sum()
+                        p *= u
+            inner, j = outer, j + 1
+        return moments
 
     def truncation_error_estimate(self, z):
         """Heuristic bound for the discarded |t| > T part of the integral, at
-        a point z or elementwise on an array of points."""
-        T = self.pair.mu.truncation_radius
-        if T <= 1.0:
-            return 0.0
-        k = self.k
-        return (abs(z * z + 1.0) ** k * (1.0 + abs(z)) * self.pair.mu.edge_mass_rate()
-                * T ** (-(2 * k + 1)) / (math.pi * (2 * k + 1)))
+        a point z or elementwise on an array of points (0 when T <= 1)."""
+        z = np.asarray(z, dtype=complex)
+        T, k = self.pair.mu.truncation_radius, self.k
+        rate = self.pair.mu.edge_mass_rate() * T ** (-(2 * k + 1)) if T > 1.0 else 0.0
+        return _point_or_array(np.abs(z * z + 1.0) ** k * (1.0 + np.abs(z)) * rate
+                               / (math.pi * (2 * k + 1)))
+
+
+def _far_terms(j: int) -> int:
+    """ceil(16 ln 10 / ln(8 2^j)): the terms of 1/(t-z) = sum z^m t^-(m+1)
+    that reach 1e-16 of |1/t| where |z/t| <= 1/(8 2^j)."""
+    return math.ceil(16.0 / ((j + 3) * math.log10(2.0)))
+
+
+def _within(t: np.ndarray, radius: float):
+    """The slice (lo, hi) of the sorted t with |t| < radius."""
+    return int(np.searchsorted(t, -radius, "right")), int(np.searchsorted(t, radius, "left"))
+
+
+def _cauchy_sum(t: np.ndarray, c: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """Add sum c/(t-z) at the 1-d points z into out, as 1/(t-z) = (d + iy)/(d^2 + y^2)
+    with d = t - x (in real arithmetic for real c), over blocks of at most
+    _CAUCHY_BLOCK elements and atoms, with pairwise sums along each block.
+    The atom blocks depend on the atoms only."""
+    width = min(len(t), _CAUCHY_BLOCK[1]) or 1
+    rows = _CAUCHY_BLOCK[0] // width
+    d_buf, r_buf = np.empty((2, min(len(z), rows), width), dtype=c.dtype)
+    for p in range(0, len(z), rows):
+        x, y = z.real[p:p + rows, None], z.imag[p:p + rows, None]
+        for a in range(0, len(t), width):
+            tb, cb = t[a:a + width], c[a:a + width]
+            d = np.subtract(tb, x, out=d_buf[:len(x), :len(tb)])
+            r = np.multiply(d, d, out=r_buf[:len(x), :len(tb)])
+            r += y * y
+            np.divide(cb, r, out=r)
+            out[p:p + rows] += 1j * y[:, 0] * r.sum(axis=-1)
+            r *= d
+            out[p:p + rows] += r.sum(axis=-1)
 
 
 def f_integral(model: HolomorphicModel, z, tol: float = 1e-10):

@@ -408,8 +408,10 @@ def _integral_part_oracle(mu, k, z):
 @pytest.mark.parametrize("n_atoms,n_points", [(100_003, 6), (1_001, 700)])
 @pytest.mark.parametrize("complex_weights", [True, False])
 def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weights):
-    # 6 points go 4 then 2 at a time over 100003 atoms, 3 blocks of 2^15 and a
-    # partial one; 700 points go 130 at a time (the last 50) over 1001 atoms
+    # on 100003 atoms the two points with |z| = 1e3 walk every atom directly, 3
+    # blocks of 2^15 and a partial one, and the others split at 8r into a near
+    # slice and far moments; 1001 atoms fit one block, so 700 points go 130 at
+    # a time (the last 50) over all of them
     rng = np.random.default_rng(11 + k)
     loc = np.sort(rng.uniform(-400.0, 250.0, n_atoms))
     w = rng.normal(size=n_atoms) + (1j * rng.normal(size=n_atoms) if complex_weights else 0.0)
@@ -428,16 +430,95 @@ def test_integral_part_matches_complex_kernel(k, n_atoms, n_points, complex_weig
 
 
 def test_integral_part_memory_is_blockwise():
+    # a first call builds the far moments of each of its radii, also blockwise:
+    # one point, then a batch with radii 1 to 1024 on a fresh model
     import tracemalloc
+    pair = make_poisson(t_max=2_000_000)
+    n = len(pair.mu.atom_locations)
+    for z in (0.3 + 0.7j, np.array([0.3 + 0.7j, 1.5 + 1.0j, 3.0 + 2.0j, -5.0 + 5.0j, 1e3j])):
+        model = HolomorphicModel(pair, 0, np.zeros(1))
+        tracemalloc.start()
+        try:
+            model.integral_part(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n / 2  # below half of one float64 array over the atoms
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_integral_part_far_field_seam(k, complex_weights):
+    # more atoms than one block, so every point with 8r inside the atoms
+    # splits them at |t| = 8r; heavy atoms sit exactly at 8r and at the shell
+    # edges 16r for r = 1, 2, 4
+    rng = np.random.default_rng(29 + k)
+    edges = np.array([8.0, 16.0, 32.0, 64.0])
+    loc = np.concatenate([rng.uniform(-400.0, 250.0, 40_000), edges, -edges])
+    w = rng.normal(size=len(loc)) + (1j * rng.normal(size=len(loc)) if complex_weights else 0.0)
+    w[-8:] = 50.0 * (1.0 + 1j if complex_weights else 1.0)
+    order = np.argsort(loc)
+    mu = TemperedMeasure(loc[order], w[order].astype(complex), None, 2 * k + 2)
+    pair = FSPair("skewed", mu, SummationFunction(np.array([1.0]), np.array([1.0 + 0j])),
+                  False, 0.1)
+    above = np.nextafter(1.0, 2.0)
+    z = np.array([1j, -0.6 + 0.8j, 2j, 4j, above * 1j, 2 * above * 1j, 4 * above * 1j,
+                  2.0 + 1e-3j, -3.9 + 0.5j, 1e3j, 0.3 + 0.1j, 7.0 + 3.0j])
+    value, size = _integral_part_oracle(mu, k, z)
+    model = HolomorphicModel(pair, k, np.zeros(1))
+    got = model.integral_part(z)
+    assert np.all(np.abs(got - value) <= 1e-12 * size)
+    # radii 1, 2, 4, 8 use far moments; |z| = 1e3 (8r past the atoms) does not
+    assert sorted(model._moments) == [0, 1, 2, 3]
+    alone = HolomorphicModel(pair, k, np.zeros(1))
+    assert all(alone.integral_part(zi) == gi for zi, gi in zip(z, got))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+def test_far_expansion_reaches_rounding_at_the_seam(r):
+    # heavy atoms exactly at 8r and 16r (|z/t| = 1/8 and 1/16 there) and 2^15
+    # light ones far out: each shell's terms must reach rounding level, which
+    # the 1e-12 bound above cannot tell from a few terms fewer
+    light = np.linspace(1e5, 2e5, 1 << 15)
+    loc = np.concatenate([[8.0 * r, 16.0 * r], light])
+    w = np.concatenate([[1.0, -0.7], np.full(len(light), 1e-30)]).astype(complex)
+    mu = TemperedMeasure(loc, w, None, 2)
+    pair = FSPair("seam", mu, SummationFunction(np.array([1.0]), np.array([1.0 + 0j])),
+                  False, 0.1)
+    model = HolomorphicModel(pair, 0, np.zeros(1))
+    z = np.array([r * 1j, r * (0.6 + 0.799j), r * (-0.28 + 0.959j)])  # |z| <= r
+    value, size = _integral_part_oracle(mu, 0, z)
+    assert np.all(np.abs(model.integral_part(z) - value) <= 1e-14 * size)
+    assert list(model._moments) == [int(math.log2(r))]
+
+
+def test_far_moments_built_once_per_radius(monkeypatch):
+    builds = []
+    build = HolomorphicModel._far_moments
+
+    def counted(self, e):
+        builds.append(e)
+        return build(self, e)
+
+    monkeypatch.setattr(HolomorphicModel, "_far_moments", counted)
     model = HolomorphicModel(make_poisson(t_max=2_000_000), 0, np.zeros(1))
-    n = len(model.pair.mu.atom_locations)
-    tracemalloc.start()
-    try:
-        model.integral_part(0.3 + 0.7j)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n / 2  # below half of one float64 array over the atoms
+    grid = [complex(x, y) for x in np.linspace(-2.0, 2.0, 5) for y in np.linspace(0.2, 4.0, 5)]
+    values = [model.integral_part(z) for z in grid]
+    assert len(builds) == len(set(builds)) == 4  # radii 1, 2, 4, 8
+    assert [model.integral_part(z) for z in grid] == values
+    assert len(builds) == 4
+
+
+def test_truncation_error_estimate_shapes(poisson_model):
+    z = np.array([[0.3 + 0.5j, -1.0 + 2.0j, 4j], [1j, 2.0 + 0.1j, 0.5j]])
+    empty = HolomorphicModel(make_empty(), 1, np.zeros(1))
+    assert np.array_equal(empty.truncation_error_estimate(z), np.zeros(z.shape))
+    assert type(empty.truncation_error_estimate(1j)) is float
+    est = poisson_model.truncation_error_estimate(z)
+    assert est.shape == z.shape and np.all(est > 0)
+    scalars = [poisson_model.truncation_error_estimate(zi) for zi in z.ravel()]
+    assert all(type(e) is float for e in scalars)
+    assert est.ravel().tolist() == scalars
 
 
 def test_unreached_tolerance_raises(selberg_pair):
