@@ -83,8 +83,10 @@ class Density:
 
 @dataclass(frozen=True)
 class TemperedMeasure:
-    """Atomic part (sorted locations, nonzero complex weights), optional
-    density, a declared degree bound and a truncation note."""
+    """Atomic part (sorted locations, nonzero weights), optional density, a
+    declared degree bound and a truncation note.  The weights are float64
+    when every imaginary part is zero and complex128 otherwise, so a real
+    measure holds and sweeps half the bytes and is_real reads the dtype."""
 
     atom_locations: np.ndarray
     atom_weights: np.ndarray
@@ -94,7 +96,10 @@ class TemperedMeasure:
 
     def __post_init__(self):
         loc = np.asarray(self.atom_locations, dtype=float)
-        w = np.asarray(self.atom_weights, dtype=complex)
+        w = np.asarray(self.atom_weights)
+        if np.iscomplexobj(w) and not np.any(w.imag):
+            w = w.real
+        w = w.astype(complex if np.iscomplexobj(w) else float, copy=False)
         if loc.shape != w.shape or loc.ndim != 1:
             raise ValueError("locations and weights must be 1-d and equal length")
         loc, w = _merge_atoms(loc, w)
@@ -109,12 +114,15 @@ class TemperedMeasure:
     def edge_mass_rate(self) -> float:
         """Atom weight per unit length on T/2 <= |t| <= T, T the truncation
         radius: the rate at which the discarded tail is assumed to go on."""
-        T = self.truncation_radius
-        outer = np.abs(self.atom_locations) >= T / 2.0
-        return float(np.sum(np.abs(self.atom_weights[outer]))) / max(T, 1.0)
+        T, loc, w = self.truncation_radius, self.atom_locations, self.atom_weights
+        # |t| >= T/2 is a head and a tail of the sorted locations (disjoint
+        # also at T = 0), read in the order of the atoms
+        lo = int(np.searchsorted(loc, -T / 2.0, "right"))
+        hi = max(lo, int(np.searchsorted(loc, T / 2.0, "left")))
+        return float(np.sum(np.abs(np.concatenate((w[:lo], w[hi:]))))) / max(T, 1.0)
 
     def is_real(self) -> bool:
-        return bool(np.all(self.atom_weights.imag == 0.0))
+        return not np.iscomplexobj(self.atom_weights)
 
 
 def _merge_atoms(loc, w):
@@ -199,7 +207,7 @@ def make_poisson(t_max: float = 64.0, lambda_max: float = 64.0) -> FSPair:
         raise ValueError("truncation radii must be positive")
     n = np.arange(-int(t_max), int(t_max) + 1, dtype=float)
     m = np.arange(-int(lambda_max), int(lambda_max) + 1, dtype=float)
-    mu = TemperedMeasure(n, np.ones_like(n, dtype=complex), None, 2,
+    mu = TemperedMeasure(n, np.ones_like(n), None, 2,
                          f"atoms at integers |n| <= {int(t_max)}")
     a = SummationFunction(m, np.ones_like(m, dtype=complex), 0.1)
     return FSPair("poisson", mu, a, True, 0.1, gaussian_ok=True)
@@ -212,7 +220,7 @@ def make_guinand(c: float, n_max: int = 512) -> FSPair:
     n = np.arange(n_max + 1, dtype=float)
     loc = np.sqrt(n + c)
     locs = np.concatenate([-loc[::-1], loc])
-    ws = np.concatenate([alpha[::-1], alpha]).astype(complex)
+    ws = np.concatenate([alpha[::-1], alpha])
     mu = TemperedMeasure(locs, ws, None, 3,
                          f"atoms at +-sqrt(n+c), n <= {n_max}, c = {c}")
     a = SummationFunction(locs, ws, 0.1)
@@ -239,7 +247,7 @@ def make_meyer(n_max: int = 2000) -> FSPair:
     loc = np.array([math.sqrt(n) / 2.0 for n in ns])
     w = np.array([meyer_chi(n) * r3[n] / math.sqrt(n) for n in ns])
     locs = np.concatenate([-loc[::-1], loc])
-    ws = np.concatenate([-w[::-1], w]).astype(complex)
+    ws = np.concatenate([-w[::-1], w])
     mu = TemperedMeasure(locs, ws, None, 3, f"atoms at +-sqrt(n)/2, n <= {n_max}")
     a = SummationFunction(locs, -1j * ws, 0.1)
     return FSPair(f"meyer(n_max={n_max})", mu, a, True, 0.1)
@@ -248,7 +256,7 @@ def make_meyer(n_max: int = 2000) -> FSPair:
 def make_empty() -> FSPair:
     """The zero pair; trivially verifies 0 = 0."""
     empty = np.array([])
-    mu = TemperedMeasure(empty, empty.astype(complex), None, 0, "empty")
+    mu = TemperedMeasure(empty, empty, None, 0, "empty")
     a = SummationFunction(empty, empty.astype(complex), 1.0)
     return FSPair("empty", mu, a, True, 0.1, gaussian_ok=True)
 
@@ -368,9 +376,9 @@ def _antipodal_part(a: SummationFunction, which: int) -> SummationFunction:
 def antipodal_split(pair: FSPair):
     """Split a complex pair into two real-antipodal ones:
     mu = mu1 - i mu2 and a = a1 - i a2 on every support point."""
-    mu1 = TemperedMeasure(pair.mu.atom_locations, pair.mu.atom_weights.real.astype(complex),
+    mu1 = TemperedMeasure(pair.mu.atom_locations, pair.mu.atom_weights.real,
                           pair.mu.density, pair.mu.degree_bound, pair.mu.truncation_note)
-    mu2 = TemperedMeasure(pair.mu.atom_locations, (-pair.mu.atom_weights.imag).astype(complex),
+    mu2 = TemperedMeasure(pair.mu.atom_locations, -pair.mu.atom_weights.imag,
                           None, pair.mu.degree_bound, pair.mu.truncation_note)
     a1 = _antipodal_part(pair.a, 1)
     a2 = _antipodal_part(pair.a, 2)
@@ -397,8 +405,8 @@ def degree_probe(mu: TemperedMeasure, n: int, T_grid: Sequence[float]) -> Degree
     aw = np.abs(mu.atom_weights)
     partials = []
     for T in T_grid:
-        mask = np.abs(loc) <= T
-        val = float(np.sum(aw[mask] / (1.0 + loc[mask] ** 2) ** (n / 2.0)))
+        lo, hi = np.searchsorted(loc, -T, "left"), np.searchsorted(loc, T, "right")
+        val = float(np.sum(aw[lo:hi] / (1.0 + loc[lo:hi] ** 2) ** (n / 2.0)))
         if mu.density is not None:
             val += _gauss_legendre(lambda t: np.abs(mu.density(t)) / (1.0 + t ** 2) ** (n / 2.0),
                                    -T, T, 1.0, 1e-10).checked("degree_probe")

@@ -100,11 +100,12 @@ class HolomorphicModel:
         # atoms enter through the weights c = w/(1+t^2)^k (real for a real mu)
         # and the z-independent S = sum c t/(1+t^2)
         t, w = pair.mu.atom_locations, pair.mu.atom_weights
-        self._c = np.ascontiguousarray(w.real if pair.mu.is_real() else w)
-        if k:
-            self._c = self._c / (1.0 + t * t) ** k
-        self._shift = complex(np.sum(self._c * (t / (1.0 + t * t))))
+        q = t * t
+        q += 1.0
+        self._c = w / q ** k if k else w  # k = 0: the measure's own weights
+        self._shift = complex(np.dot(self._c, np.divide(t, q, out=q)))
         self._moments = {}  # far-field moments by radius exponent, see _far_moments
+        self._shells = {}  # moments of the dyadic shells by exponent, see _shell_moments
 
     def q_at(self, z):
         """Q at a point z or elementwise on an array of points."""
@@ -165,23 +166,40 @@ class HolomorphicModel:
 
     def _far_moments(self, e: int) -> np.ndarray:
         """The moments M_m = sum c t^-(m+1) over the atoms |t| >= 8r, r = 2^e,
-        so that those atoms give sum c/(t-z) = sum_m M_m z^m for |z| <= r.
-        One blockwise pass over the dyadic shells 8r 2^j <= |t| < 8r 2^(j+1),
-        where |z/t| <= 1/(8 2^j): shell j keeps _far_terms(j) terms, 18 in
-        the first shell and fewer further out."""
+        so that those atoms give sum c/(t-z) = sum_m M_m z^m for |z| <= r:
+        the sum, inner to outer, of the dyadic shells 2^s <= |t| < 2^(s+1),
+        s >= e + 3, where |z/t| <= 2^(e-s); shell s gives its first
+        _far_terms(s - e - 3) moments, 18 in the first shell and fewer
+        further out.  The shells' moments are shared by every radius, and
+        their first terms do not depend on how many a shell holds, so the
+        table does not depend on the order in which radii are asked for."""
+        t = self.pair.mu.atom_locations
+        moments = np.zeros(_far_terms(0), dtype=self._c.dtype)
+        s = e + 3
+        while _within(t, math.ldexp(1.0, s)) != (0, len(t)):
+            terms = _far_terms(s - e - 3)
+            held = self._shells.get(s)
+            if held is None or len(held) < terms:
+                held = self._shells[s] = self._shell_moments(s, terms)
+            moments[:terms] += held[:terms]
+            s += 1
+        return moments
+
+    def _shell_moments(self, s: int, terms: int) -> np.ndarray:
+        """The first `terms` moments sum c t^-(m+1) over the atoms
+        2^s <= |t| < 2^(s+1), in one blockwise pass; moment m is computed
+        by the same operations whatever `terms` is."""
         t, c = self.pair.mu.atom_locations, self._c
-        moments = np.zeros(_far_terms(0), dtype=c.dtype)
-        inner, j = _within(t, math.ldexp(8.0, e)), 0
-        while inner != (0, len(t)):
-            outer, terms = _within(t, math.ldexp(16.0, e + j)), _far_terms(j)
-            for a, b in ((outer[0], inner[0]), (inner[1], outer[1])):
-                for s in range(a, b, _CAUCHY_BLOCK[1]):
-                    u = 1.0 / t[s:min(s + _CAUCHY_BLOCK[1], b)]
-                    p = c[s:s + len(u)] * u
-                    for m in range(terms):
-                        moments[m] += p.sum()
+        inner, outer = _within(t, math.ldexp(1.0, s)), _within(t, math.ldexp(1.0, s + 1))
+        moments = np.zeros(terms, dtype=c.dtype)
+        for a, b in ((outer[0], inner[0]), (inner[1], outer[1])):
+            for lo in range(a, b, _CAUCHY_BLOCK[1]):
+                u = 1.0 / t[lo:min(lo + _CAUCHY_BLOCK[1], b)]
+                p = c[lo:lo + len(u)] * u
+                for m in range(terms):
+                    if m:
                         p *= u
-            inner, j = outer, j + 1
+                    moments[m] += p.sum()
         return moments
 
     def truncation_error_estimate(self, z):
@@ -324,8 +342,11 @@ def recover_measure(model: HolomorphicModel, a: float, b: float, s: float,
     if not 0.0 < s <= 0.1:
         raise ValueError("s must lie in (0, 0.1]")
     mu, k = model.pair.mu, model.k
+    loc = mu.atom_locations
     for endpoint in (a, b):
-        if len(mu.atom_locations) and np.min(np.abs(mu.atom_locations - endpoint)) < 1e-3:
+        # the nearest atom is one of the two sorted neighbours of the endpoint
+        i = int(np.searchsorted(loc, endpoint))
+        if np.any(np.abs(loc[max(i - 1, 0):i + 1] - endpoint) < 1e-3):
             raise ValueError(f"endpoint {endpoint} is within 1e-3 of an atom")
     za, zb = complex(a, s), complex(b, s)
 

@@ -406,3 +406,69 @@ def test_make_empty():
     assert len(pair.mu.atom_locations) == 0
     assert pair.mu.truncation_radius == 0.0
     assert pair.a.lambda_max == 0.0
+
+
+# ------------------------------------------------------- weight dtype contract
+
+def _dtype_cases(tmp_path):
+    """(name, measure, expected dtype): every builder, a loaded real pair,
+    both parts of an antipodal split, a complex measure and a complex array
+    whose imaginary parts are all zero."""
+    rng = np.random.default_rng(3)
+    loc = np.sort(rng.uniform(-5.0, 5.0, 40))
+    w = rng.normal(size=40) + 1j * rng.normal(size=40)
+    cmu = TemperedMeasure(loc, w)
+    from fspair.measures import FSPair
+    p1, p2 = antipodal_split(FSPair("c", cmu, SummationFunction(loc, w), False, 0.1))
+    return [("poisson", make_poisson(8.0, 4.0).mu, np.float64),
+            ("guinand", make_guinand(1.0 / 9.0, 16).mu, np.float64),
+            ("meyer", make_meyer(20).mu, np.float64),
+            ("empty", make_empty().mu, np.float64),
+            ("loaded", load_pair(_write_pair(tmp_path, _basic_payload())).mu, np.float64),
+            ("split re", p1.mu, np.float64),
+            ("split im", p2.mu, np.float64),
+            ("complex", cmu, np.complex128),
+            ("zero imag", TemperedMeasure(loc, w.real.astype(complex)), np.float64),
+            ("one imag", TemperedMeasure(loc, w.real + 1j * (loc == loc[7])), np.complex128)]
+
+
+def test_real_weights_are_float64(tmp_path):
+    for name, mu, dtype in _dtype_cases(tmp_path):
+        w = mu.atom_weights
+        assert w.dtype == dtype, name
+        assert mu.is_real() == bool(np.all(w.imag == 0.0)), name
+
+
+def test_merge_atoms_float_and_complex_zero_imag_agree():
+    from fspair.measures import _merge_atoms
+    rng = np.random.default_rng(8)
+    loc = rng.uniform(-10.0, 10.0, 500)
+    loc[100:103] = loc[99] + ATOM_MERGE_EPS * np.array([0.3, 0.6, 0.9])  # merged runs:
+    loc[401:404] = loc[400] + ATOM_MERGE_EPS * np.array([0.3, 0.6, 0.9])
+    w = rng.normal(size=500)
+    w[[5, 200, 300]] = 0.0  # dropped
+    w[99:103] = [1.5, 2.0, -3.5, 0.0]  # one sums to zero and is dropped
+    loc_f, w_f = _merge_atoms(loc, w)
+    loc_c, w_c = _merge_atoms(loc, w.astype(complex))
+    assert w_f.dtype == np.float64 and w_c.dtype == np.complex128
+    assert np.array_equal(loc_f, loc_c) and np.array_equal(w_f, w_c.real)
+    assert not np.any(w_c.imag) and np.all(w_f != 0.0) and len(loc_f) == 500 - 3 - 4 - 3
+
+
+def test_edge_mass_rate_equals_mask_sum(tmp_path):
+    def by_mask(mu):
+        T = mu.truncation_radius
+        outer = np.abs(mu.atom_locations) >= T / 2.0
+        return float(np.sum(np.abs(mu.atom_weights[outer]))) / max(T, 1.0)
+
+    rng = np.random.default_rng(12)
+    skewed = np.sort(rng.uniform(-400.0, 250.0, 5_000))
+    cases = [mu for _, mu, _ in _dtype_cases(tmp_path)] + [
+        make_poisson(4001.0, 1.0).mu,  # atoms exactly at |t| = T/2
+        TemperedMeasure(skewed, rng.normal(size=5_000) + 1j * rng.normal(size=5_000)),
+        TemperedMeasure(np.array([-3.0, -1.5, 0.0, 1.5]), np.array([1.0, 2.0, 4.0, 8.0])),
+        TemperedMeasure(np.array([0.0]), np.array([2.5])),  # T = 0
+        TemperedMeasure(np.array([0.2, 0.4]), np.array([1.0, -3.0])),  # T < 1
+    ]
+    for mu in cases:
+        assert mu.edge_mass_rate() == by_mask(mu)

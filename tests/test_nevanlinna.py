@@ -446,6 +446,24 @@ def test_integral_part_memory_is_blockwise():
         assert peak < 8 * n / 2  # below half of one float64 array over the atoms
 
 
+def test_real_poisson_model_holds_no_complex_copy():
+    # float64 weights, and k = 0 weights c that are the measure's own array:
+    # building the pair and the model peaks at four float64 arrays over the
+    # atoms (locations and weights, their copies in the merge); complex
+    # weights or a copy of them for c reach six
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        pair = make_poisson(1e6)
+        model = HolomorphicModel(pair, 0, np.zeros(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(pair.mu.atom_locations)
+    assert peak < 5 * 8 * n
+    assert model._c is pair.mu.atom_weights
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("complex_weights", [True, False])
 def test_integral_part_far_field_seam(k, complex_weights):
@@ -509,6 +527,75 @@ def test_far_moments_built_once_per_radius(monkeypatch):
     assert len(builds) == 4
 
 
+def _skewed_model(complex_weights):
+    """More atoms than one block (2^15), skewed about 0, out to |t| = 400."""
+    rng = np.random.default_rng(41)
+    loc = np.sort(rng.uniform(-400.0, 250.0, 40_000))
+    w = rng.normal(size=len(loc)) + (1j * rng.normal(size=len(loc)) if complex_weights else 0.0)
+    mu = TemperedMeasure(loc, w, None, 2)
+    pair = FSPair("skewed", mu, SummationFunction(np.array([1.0]), np.array([1.0 + 0j])),
+                  False, 0.1)
+    return HolomorphicModel(pair, 0, np.zeros(1))
+
+
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_radius_tables_do_not_depend_on_request_order(complex_weights):
+    up, down = _skewed_model(complex_weights), _skewed_model(complex_weights)
+    for model, radii in ((up, [1.0, 2.0, 4.0, 8.0]), (down, [8.0, 4.0, 2.0, 1.0])):
+        for r in radii:
+            model.integral_part(1j * r)  # |z| = r, so radius exponent log2 r
+    assert sorted(up._moments) == sorted(down._moments) == [0, 1, 2, 3]
+    for e in range(4):
+        assert up._moments[e].tobytes() == down._moments[e].tobytes()
+
+
+def test_shell_moments_shared_between_radii(monkeypatch):
+    sweeps = []
+    build = HolomorphicModel._shell_moments
+
+    def counted(self, s, terms):
+        sweeps.append(s)
+        return build(self, s, terms)
+
+    monkeypatch.setattr(HolomorphicModel, "_shell_moments", counted)
+    model = _skewed_model(False)
+    model._far_moments(3)  # shells 2^6 <= |t| < 2^9, the outermost atom at 400
+    assert sweeps == [6, 7, 8]
+    for e in (3, 2, 1, 0):  # a smaller radius needs fewer terms of a shell it shares
+        sweeps.clear()
+        model._far_moments(e)
+        assert sweeps == ([] if e == 3 else [e + 3])
+    # in ascending order a larger radius needs more terms of every shell it
+    # shares (shell s keeps _far_terms(s - e - 3)), so those are swept again
+    fresh = _skewed_model(False)
+    for e, swept in ((0, [3, 4, 5, 6, 7, 8]), (1, [4, 5, 6, 7, 8]), (0, []), (1, [])):
+        sweeps.clear()
+        fresh._far_moments(e)
+        assert sweeps == swept
+
+
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_radius_tables_match_fsum_oracle(complex_weights):
+    # each table entry M_m against math.fsum of c t^-(m+1) over the far atoms
+    # |t| >= 8r of the shells 8r 2^j <= |t| < 8r 2^(j+1) that keep a term m,
+    # ceil(16 ln 10 / ln(8 2^j)) of them
+    model = _skewed_model(complex_weights)
+    t, c = model.pair.mu.atom_locations, model.pair.mu.atom_weights
+    for e in range(4):
+        table = model._far_moments(e)
+        far = np.abs(t) >= 8.0 * 2.0 ** e
+        tf, cf = t[far], c[far]
+        j = np.frexp(np.abs(tf) / (8.0 * 2.0 ** e))[1] - 1  # floor of log2, exactly
+        keeps = np.array([math.ceil(16.0 * math.log(10.0) / math.log(8.0 * 2.0 ** i))
+                          for i in j])
+        assert len(table) == keeps.max() == 18
+        for m in range(len(table)):
+            term = cf[keeps > m] * tf[keeps > m] ** -(m + 1.0)
+            oracle = complex(math.fsum(term.real), math.fsum(np.imag(term)))
+            size = math.fsum(np.abs(term))
+            assert abs(table[m] - oracle) <= 1e-14 * size
+
+
 def test_truncation_error_estimate_shapes(poisson_model):
     z = np.array([[0.3 + 0.5j, -1.0 + 2.0j, 4j], [1j, 2.0 + 0.1j, 0.5j]])
     empty = HolomorphicModel(make_empty(), 1, np.zeros(1))
@@ -536,6 +623,18 @@ def test_recover_validation(poisson_model):
         recover_measure(poisson_model, 0.4, 0.6, 0.5)  # s too large
     with pytest.raises(ValueError):
         recover_measure(poisson_model, 0.6, 0.4, 1e-3)
+
+
+def test_recover_endpoint_distance_bound_is_strict(poisson_model):
+    # the atom at 0 lies exactly 1e-3 from the endpoints +-1e-3, and a
+    # neighbour on either side of the endpoint is checked
+    near, above = 1e-3, np.nextafter(1e-3, 1.0)
+    for a, b in ((near, 0.5), (-0.5, -near), (above, 0.5), (-0.5, -above)):
+        assert math.isfinite(recover_measure(poisson_model, a, b, 1e-2))
+    below = np.nextafter(1e-3, 0.0)
+    for a, b in ((below, 0.5), (-0.5, -below), (-below, 0.5), (-0.5, below)):
+        with pytest.raises(ValueError, match="within 1e-3"):
+            recover_measure(poisson_model, a, b, 1e-2)
 
 
 # --------------------------------------------------------- Nevanlinna matrix
