@@ -108,8 +108,10 @@ def _cmd_coeffs(args) -> int:
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("n,alpha_n" + end)
         for a in range(0, len(values), _ROWS_PER_WRITE):  # one write per block of rows
-            block = enumerate(values[a:a + _ROWS_PER_WRITE].tolist(), a)
-            fh.write("".join(f"{n},{v!r}{end}" for n, v in block))
+            block = values[a:a + _ROWS_PER_WRITE].tolist()
+            cells = [None] * (2 * len(block))  # n_a, alpha_a, n_a+1, ...
+            cells[::2], cells[1::2] = range(a, a + len(block)), block
+            fh.write(("%d,%r" + end) * len(block) % tuple(cells))
     return 0
 
 

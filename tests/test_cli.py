@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import io
 import json
 
@@ -9,7 +8,7 @@ import pytest
 
 from fspair import nevanlinna
 from fspair.cli import _ROWS_PER_WRITE, parse_complex, run
-from fspair.qseries import guinand_coeffs, r3_sequence
+from fspair.qseries import guinand_coeffs, r3_sequence, theta_coeffs
 from fspair.testfn import verify_pair
 from test_measures import malformed_payloads
 
@@ -106,7 +105,8 @@ def test_coeffs_r3(capsys):
 
 
 def test_coeffs_rows_match_csv_writer(tmp_path, capsys):
-    cases = [(["guinand", "--c", repr(1.0 / 9.0)], 64, guinand_coeffs(1.0 / 9.0, 64).coeffs)]
+    cases = [(["guinand", "--c", repr(1.0 / 9.0)], 64, guinand_coeffs(1.0 / 9.0, 64).coeffs),
+             (["theta"], 100, theta_coeffs(100).coeffs)]
     for n in (1000, _ROWS_PER_WRITE + 1):  # the second crosses a block boundary
         cases.append((["r3"], n, r3_sequence(n).values.astype(float)))
     for family, n, values in cases:
@@ -132,8 +132,12 @@ def test_nevindex_eigensolver_errors_exit_codes(monkeypatch):
     B = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     hard = nevanlinna.NevMatrix(tuple(1j for _ in range(20)), B + B.conj().T)
     monkeypatch.setattr(nevanlinna, "nev_matrix", lambda model, pts: hard)
-    monkeypatch.setattr(nevanlinna, "jacobi_eigenvalues",
-                        functools.partial(nevanlinna.jacobi_eigenvalues, max_sweeps=1))
+
+    def not_converged(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # LinAlgError is a ValueError: neg_index must re-raise it as RuntimeError
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_converged)
     assert run(argv) == 1
 
 

@@ -16,6 +16,7 @@ from fspair.measures import (
     make_poisson,
 )
 from fspair.nevanlinna import (
+    DEFAULT_NEG_TOL,
     HolomorphicModel,
     NevMatrix,
     ap_proxy,
@@ -704,7 +705,7 @@ def test_jacobi_structured_inputs():
 def test_jacobi_graded_relative_accuracy():
     # D M D with M positive definite and unit-diagonal, D from 1 down to 1e-10:
     # eigenvalues down to ~1e-20, each held to high relative accuracy
-    # (Demmel-Veselic), the reason neg_index keeps Jacobi
+    # (Demmel-Veselic), which eigvalsh does not give
     for n in (16, 17):
         rng = np.random.default_rng(n)
         B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -765,6 +766,52 @@ def test_neg_index_positive_models(poisson_model):
         pts = [complex(x, y) for x, y in zip(rng.uniform(-2, 2, n),
                                              rng.uniform(0.3, 3.0, n))]
         assert neg_index(nev_matrix(poisson_model, pts)) == 0
+
+
+def _jacobi_count(H, tol_rel=DEFAULT_NEG_TOL):
+    eig = jacobi_eigenvalues(H)
+    return int(np.sum(eig < -tol_rel * np.max(np.abs(eig), initial=0.0)))
+
+
+def test_neg_index_matches_jacobi_count_where_nonzero(poisson_model):
+    # Meyer's matrices at k = 1 often have index above 0: a count that
+    # always returned 0 would fail here, not on the Poisson sets
+    models = {"poisson": poisson_model, "meyer": build_model(make_meyer(200), k=1)}
+    for name, model in models.items():
+        rng = np.random.default_rng(2024)
+        counts = []
+        for n in [int(rng.integers(2, 12)) for _ in range(30)] + [80]:
+            pts = [complex(x, y) for x, y in zip(rng.uniform(-2, 2, n),
+                                                 rng.uniform(0.3, 3.0, n))]
+            m = nev_matrix(model, pts)
+            counts.append(neg_index(m))
+            assert counts[-1] == _jacobi_count(m.entries), (name, n)
+        assert (max(counts) > 0) == (name == "meyer")
+
+
+def test_neg_index_reads_the_hermitian_part():
+    rng = np.random.default_rng(41)
+    for n in (3, 9, 40):
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        H = Q @ np.diag(rng.uniform(-2.0, 1.0, n)) @ Q.conj().T
+        H = (H + H.conj().T) / 2.0
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        count = neg_index(NevMatrix(tuple(1j for _ in range(n)), H))
+        assert count > 0
+        assert count == _jacobi_count(H)
+        # rounding-sized, and large enough that one triangle alone would differ
+        for scale in (1e-14, 1.0):
+            skewed = H + scale * (B - B.conj().T)
+            assert neg_index(NevMatrix(tuple(1j for _ in range(n)), skewed)) == count
+
+
+def test_neg_index_rejects_bad_tol_rel():
+    # the index of diag(1, -1) is 1; a NaN or infinite threshold would hide it
+    m = NevMatrix((1j, 2j), np.diag([1.0, -1.0]).astype(complex))
+    assert neg_index(m) == 1
+    for bad in (math.nan, math.inf, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol_rel"):
+            neg_index(m, bad)
 
 
 # ----------------------------------------------------------------- bridge sum

@@ -62,7 +62,7 @@ def test_ft_bump_at_zero_vs_trapezoid_oracle():
     u = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     u[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    oracle = np.trapezoid(u, x)
+    oracle = 0.5 * np.sum((u[1:] + u[:-1]) * np.diff(x))  # trapezoid rule, any numpy
     assert abs(ft_testfn(spec, 0.0, 1e-12) - oracle) < 1e-10
 
 
